@@ -19,7 +19,7 @@ lint-cold:
 	$(PYTHON) -m repro lint --format json --no-cache
 
 test: lint
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 	@# Golden telemetry snapshots must not depend on test order: rerun
 	@# tests/obs alone, with random ordering disabled if the plugin exists.
 	$(PYTHON) -m pytest tests/obs -q -p no:randomly

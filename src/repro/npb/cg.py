@@ -20,12 +20,12 @@ Section 6 RVV vectorisation anomaly.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .common import BenchmarkResult, NPBClass, Timer
+from .common import POWER_TABLE_LEN, BenchmarkResult, NPBClass, Randlc, Timer
 from .params import CGParams, cg_params
 
 __all__ = [
@@ -36,135 +36,11 @@ __all__ = [
     "power_method",
 ]
 
-_AMULT = 1220703125
-_MASK46 = (1 << 46) - 1
-_MASK23 = (1 << 23) - 1
-_TWO46 = float(1 << 46)
-_RANDLC_BLOCK = 1024
-
-
-class _ScalarRandlc:
-    """Python-int randlc stream (the reference implementation).
-
-    Kept as the ground truth the batched stream is tested against.
-    """
-
-    __slots__ = ("x",)
-
-    def __init__(self, seed: int = 314159265) -> None:
-        self.x = seed
-
-    def next(self) -> float:
-        self.x = (_AMULT * self.x) & _MASK46
-        return self.x / _TWO46
-
-    def draw(self, k: int) -> np.ndarray:
-        return np.array([self.next() for _ in range(k)], dtype=np.float64)
-
-
-@lru_cache(maxsize=1)
-def _randlc_jump_table() -> tuple[np.ndarray, np.ndarray]:
-    """23-bit halves of the jump multipliers ``a^(i+1) mod 2^46``.
-
-    With these, a whole block of randlc states follows from one state by
-    elementwise modular multiplication -- no sequential dependency.
-    """
-    mults = np.empty(_RANDLC_BLOCK, dtype=np.uint64)
-    m = 1
-    for i in range(_RANDLC_BLOCK):
-        m = (m * _AMULT) & _MASK46
-        mults[i] = m
-    return mults >> np.uint64(23), mults & np.uint64(_MASK23)
-
-
-class _BatchedRandlc:
-    """randlc stream generated in vectorised blocks via precomputed jumps.
-
-    Produces the exact sequence of :class:`_ScalarRandlc` under any mix of
-    ``next()`` and ``draw(k)`` calls.  ``x`` always holds the state of the
-    most recently *consumed* value, so a fresh instance seeded from ``x``
-    continues the stream exactly (what the matrix cache relies on).
-
-    The 46-bit modular products are formed in uint64 from 23-bit halves:
-    with ``a^i = hi * 2^23 + lo`` and ``x = x1 * 2^23 + x0``,
-    ``a^i * x mod 2^46 = (((hi*x0 + lo*x1) mod 2^23) << 23) + lo*x0``,
-    every intermediate staying below 2^47.
-    """
-
-    __slots__ = ("x", "_states", "_values", "_pos")
-
-    def __init__(self, seed: int = 314159265) -> None:
-        self.x = seed
-        self._states = np.empty(0, dtype=np.uint64)
-        self._values = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    def _refill(self, k: int) -> None:
-        # Only called with the buffer exhausted, so self.x is the
-        # generation frontier.
-        hi, lo = _randlc_jump_table()
-        m = min(max(k, 256), _RANDLC_BLOCK)
-        x0 = np.uint64(self.x & _MASK23)
-        x1 = np.uint64(self.x >> 23)
-        t = (hi[:m] * x0 + lo[:m] * x1) & np.uint64(_MASK23)
-        states = ((t << np.uint64(23)) + lo[:m] * x0) & np.uint64(_MASK46)
-        self._states = states
-        self._values = states.astype(np.float64) / _TWO46
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._states):
-            self._refill(1)
-        v = self._values[self._pos]
-        self.x = int(self._states[self._pos])
-        self._pos += 1
-        return float(v)
-
-    def draw(self, k: int) -> np.ndarray:
-        """The next ``k`` stream values as one array."""
-        out = np.empty(k, dtype=np.float64)
-        filled = 0
-        while filled < k:
-            if self._pos >= len(self._states):
-                self._refill(k - filled)
-            take = min(k - filled, len(self._states) - self._pos)
-            out[filled : filled + take] = self._values[self._pos : self._pos + take]
-            self._pos += take
-            self.x = int(self._states[self._pos - 1])
-            filled += take
-        return out
-
-
-def _sprnvc(rng, n: int, nz: int, nn1: int) -> tuple[list, list]:
-    """NPB sprnvc: ``nz`` distinct random (value, index) pairs in [1, n].
-
-    Index candidates come from ``int(vecloc * nn1) + 1`` with rejection of
-    out-of-range and duplicate indices -- reproduced exactly so the
-    ``randlc`` stream advances like the reference code's.  Draws come in
-    blocks of ``2 * (pairs still needed)`` -- the fewest the rejection
-    loop can consume, so the stream position always matches the
-    call-at-a-time reference.
-    """
-    values: list[float] = []
-    indices: list[int] = []
-    seen: set[int] = set()
-    while len(values) < nz:
-        block = rng.draw(2 * (nz - len(values)))
-        for vecelt, vecloc in zip(block[0::2].tolist(), block[1::2].tolist()):
-            i = int(vecloc * nn1) + 1
-            if i > n or i in seen:
-                continue
-            seen.add(i)
-            values.append(vecelt)
-            indices.append(i)
-    return values, indices
-
-
 _matrix_cache: dict[tuple, tuple[sp.csr_matrix, int]] = {}
 _matrix_lock = threading.Lock()
 
 
-def make_matrix(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
+def make_matrix(params: CGParams) -> tuple[sp.csr_matrix, Randlc]:
     """NPB ``makea``: the random SPD matrix for one problem class.
 
     Returns the CSR matrix and the advanced ``randlc`` stream (the driver
@@ -181,10 +57,10 @@ def make_matrix(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
         hit = _matrix_cache.get(key)
     if hit is not None:
         a, state = hit
-        return a, _BatchedRandlc(state)
+        return a, Randlc(seed=state)
     a, rng = _make_matrix_uncached(params)
     with _matrix_lock:
-        _matrix_cache[key] = (a, rng.x)
+        _matrix_cache[key] = (a, rng.state)
     return a, rng
 
 
@@ -194,48 +70,97 @@ def clear_matrix_cache() -> None:
         _matrix_cache.clear()
 
 
-def _make_matrix_uncached(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
+def _stream_values(rng: Randlc) -> Iterator[float]:
+    """``rng``'s values one at a time, generated a power-table chunk ahead."""
+    while True:
+        yield from rng.generate(POWER_TABLE_LEN).tolist()
+
+
+def _make_matrix_uncached(params: CGParams) -> tuple[sp.csr_matrix, Randlc]:
     n, nonzer, rcond, shift = params.n, params.nonzer, params.rcond, params.shift
-    rng = _BatchedRandlc()
+    rng = Randlc()
     rng.next()  # the driver's "zeta = randlc(tran, amult)" warm-up call
+    start = rng.state
 
     nn1 = 1
     while nn1 < n:
         nn1 *= 2
 
+    # The stream is drawn ahead in chunks; ``pairs`` hands out the
+    # (vecelt, vecloc) pairs sprnvc consumes, one at a time, and the
+    # returned stream is rebuilt at the last value actually consumed.
+    values_iter = _stream_values(rng)
+    pairs = zip(values_iter, values_iter)
+    n_pairs = 0
+
+    # Rows are nonzer or nonzer + 1 entries long (vecset inserts the
+    # diagonal when sprnvc missed it); each length is scattered at once.
+    by_len: dict[int, tuple[list[int], list[float], list[int]]] = {
+        nonzer: ([], [], []),
+        nonzer + 1: ([], [], []),
+    }
+    lengths = np.empty(n, dtype=np.int64)
+    sizes = np.empty(n, dtype=np.float64)
     ratio = rcond ** (1.0 / n)
     size = 1.0
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for iouter in range(1, n + 1):
-        values, indices = _sprnvc(rng, n, nonzer, nn1)
+    for row in range(n):
+        iouter = row + 1
+        # sprnvc: nonzer distinct random (value, index) pairs in [1, n];
+        # out-of-range and duplicate indices are rejected, so the stream
+        # advances exactly like the reference code's.
+        values: list[float] = []
+        indices: list[int] = []
+        while len(values) < nonzer:
+            vecelt, vecloc = next(pairs)
+            n_pairs += 1
+            i = int(vecloc * nn1) + 1
+            if i <= n and i not in indices:
+                values.append(vecelt)
+                indices.append(i)
         # vecset: force element 'iouter' to 0.5 (insert if absent).
         if iouter in indices:
             values[indices.index(iouter)] = 0.5
         else:
             values.append(0.5)
             indices.append(iouter)
-        v = np.asarray(values)
-        idx = np.asarray(indices, dtype=np.int64) - 1  # to 0-based
-        # Outer product v v^T scaled by the geometric conditioner.
-        block = np.outer(v, v) * size
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(block.ravel())
+        rows, vals, idx = by_len[len(values)]
+        rows.append(row)
+        vals.extend(values)
+        idx.extend(indices)
+        lengths[row] = len(values)
+        sizes[row] = size
         size *= ratio
 
-    # Diagonal shift: a(i,i) += rcond - shift.
+    # Each row's outer product v v^T (scaled by the geometric conditioner)
+    # lands at that row's offset, so the COO entries keep the reference
+    # order and tocsr() sums duplicates identically; the rcond - shift
+    # diagonal follows last.
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths * lengths, out=offsets[1:])
+    nnz = int(offsets[-1])
+    coo_rows = np.empty(nnz + n, dtype=np.int64)
+    coo_cols = np.empty(nnz + n, dtype=np.int64)
+    coo_vals = np.empty(nnz + n, dtype=np.float64)
+    for length, (rows, vals, idx) in by_len.items():
+        if not rows:
+            continue
+        v = np.asarray(vals).reshape(-1, length)
+        ix = np.asarray(idx, dtype=np.int64).reshape(-1, length) - 1  # to 0-based
+        block = (v[:, :, None] * v[:, None, :]) * sizes[rows][:, None, None]
+        at = offsets[rows][:, None] + np.arange(length * length)
+        coo_vals[at] = block.reshape(len(rows), -1)
+        coo_rows[at] = np.repeat(ix, length, axis=1)
+        coo_cols[at] = np.tile(ix, (1, length))
     diag = np.arange(n, dtype=np.int64)
-    rows.append(diag)
-    cols.append(diag)
-    vals.append(np.full(n, rcond - shift))
+    coo_rows[nnz:] = diag
+    coo_cols[nnz:] = diag
+    coo_vals[nnz:] = rcond - shift
 
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()  # duplicate entries are summed, like NPB's sparse()
-    return a, rng
+    # tocsr() sums duplicate entries, like NPB's sparse().
+    a = sp.coo_matrix((coo_vals, (coo_rows, coo_cols)), shape=(n, n)).tocsr()
+    stream_out = Randlc(seed=start)
+    stream_out.skip(2 * n_pairs)
+    return a, stream_out
 
 
 def conj_grad(

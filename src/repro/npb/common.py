@@ -6,16 +6,19 @@ congruential generator (``randlc`` in the Fortran sources):
     x_{k+1} = a * x_k  mod 2^46,      a = 5^13,  x_0 = 314159265
 
 returning ``x / 2^46`` in (0, 1).  Because 2^46 divides 2^64, the update
-is exact in wrapping 64-bit unsigned arithmetic, which lets us run it
-vectorised over NumPy arrays (and jump ahead in O(log n) by repeated
-squaring of the multiplier -- the same trick NPB's EP uses to parallelise
-generation).
+is exact in wrapping 64-bit unsigned arithmetic.  So the ``i``-th state
+after ``x`` is ``(a^i mod 2^46) * x mod 2^46``: one elementwise multiply
+against a table of multiplier powers yields a whole chunk of the stream
+with no sequential dependency, and a jump of ``k`` steps is one multiply
+by ``a^k`` (found in O(log k) by repeated squaring -- the same trick NPB's
+EP uses to parallelise generation).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "MASK46",
     "DEFAULT_MULTIPLIER",
     "DEFAULT_SEED",
+    "POWER_TABLE_LEN",
     "NPBClass",
     "Randlc",
     "randlc_jump_multiplier",
@@ -36,6 +40,9 @@ MASK46 = np.uint64((1 << 46) - 1)
 TWO_POW_46 = float(1 << 46)
 DEFAULT_MULTIPLIER = 5**13  # 1220703125
 DEFAULT_SEED = 314159265
+#: Length of the cached multiplier-power table, and so the longest chunk
+#: :meth:`Randlc.generate` produces with one vectorised multiply.
+POWER_TABLE_LEN = 1 << 16
 
 
 class NPBClass(enum.Enum):
@@ -58,10 +65,6 @@ class NPBClass(enum.Enum):
 
     def __lt__(self, other: "NPBClass") -> bool:
         return self.rank < other.rank
-
-
-def _as_u64(x: int | np.uint64) -> np.uint64:
-    return np.uint64(int(x) & ((1 << 64) - 1))
 
 
 def randlc_jump_multiplier(a: int, k: int) -> int:
@@ -116,41 +119,53 @@ class Randlc:
         # Scalar path in Python ints: numpy scalars warn on uint64 wrap.
         self._x = np.uint64((jump * int(self._x)) & ((1 << 46) - 1))
 
-    def generate(self, n: int, block: int = 4096) -> np.ndarray:
+    def generate(self, n: int, block: int = POWER_TABLE_LEN) -> np.ndarray:
         """The next ``n`` uniforms as a float64 array.
 
-        Uses jump-ahead to seed ``ceil(n / block)`` independent lanes and
-        then iterates ``block`` steps with all lanes advancing in lockstep
-        -- sequential work drops from ``n`` multiplies to ``block``.
+        The stream is produced in chunks of ``min(block, POWER_TABLE_LEN)``
+        values: each chunk is the power table ``a^1..a^m`` times the
+        current state, masked to 46 bits and scaled into the output in
+        place, and its last state seeds the next chunk.  ``block`` changes
+        only the chunk length, never the values.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         if block < 1:
             raise ValueError("block must be >= 1")
-        n_lanes = -(-n // block)
-        a = int(self._a)
-        jump = randlc_jump_multiplier(a, block)
-        # Seed lane i with the state after i*block steps from current
-        # (Python ints: numpy uint64 scalars warn on wraparound).
-        seeds = np.empty(n_lanes, dtype=np.uint64)
-        s = int(self._x)
-        mask = (1 << 46) - 1
-        for i in range(n_lanes):
-            seeds[i] = s
-            s = (jump * s) & mask
-        out = np.empty((n_lanes, block), dtype=np.float64)
-        x = seeds.copy()
-        a64 = self._a
-        for step in range(block):
-            x = (a64 * x) & MASK46
-            out[:, step] = x
-        # Final generator state = state after n steps from the start.
-        self.skip(n)
-        flat = out.reshape(-1)[:n]
-        flat /= TWO_POW_46
-        return flat
+        out = np.empty(n, dtype=np.float64)
+        if n == 0:
+            return out
+        chunk = min(block, POWER_TABLE_LEN, n)
+        powers = _power_table(int(self._a))[:chunk]
+        states = np.empty(chunk, dtype=np.uint64)
+        x = self._x
+        for lo in range(0, n, chunk):
+            m = min(chunk, n - lo)
+            s = states[:m]
+            np.multiply(powers[:m], x, out=s)
+            np.bitwise_and(s, MASK46, out=s)
+            np.divide(s, TWO_POW_46, out=out[lo : lo + m])
+            x = s[-1]
+        self._x = x
+        return out
+
+
+@lru_cache(maxsize=4)
+def _power_table(a: int) -> np.ndarray:
+    """Read-only ``a^1..a^POWER_TABLE_LEN mod 2^46`` (uint64, 512 KB).
+
+    Built by doubling: once ``a^1..a^k`` are known, the next ``k`` powers
+    are those times ``a^k``.
+    """
+    table = np.empty(POWER_TABLE_LEN, dtype=np.uint64)
+    table[0] = a & ((1 << 46) - 1)
+    k = 1
+    while k < POWER_TABLE_LEN:
+        jump = np.uint64(randlc_jump_multiplier(a, k))
+        np.bitwise_and(table[:k] * jump, MASK46, out=table[k : 2 * k])
+        k *= 2
+    table.flags.writeable = False
+    return table
 
 
 @dataclass

@@ -4,9 +4,83 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.npb.cg import conj_grad, make_matrix, power_method, run_cg
-from repro.npb.common import NPBClass
+from repro.npb.cg import (
+    clear_matrix_cache,
+    conj_grad,
+    make_matrix,
+    power_method,
+    run_cg,
+)
+from repro.npb.common import DEFAULT_MULTIPLIER, DEFAULT_SEED, NPBClass
 from repro.npb.params import cg_params
+
+MASK46 = (1 << 46) - 1
+
+
+def reference_makea(params):
+    """Straight-line NPB ``makea``: per-row sprnvc / vecset / outer product.
+
+    Draws one Python-int ``randlc`` value at a time.  Returns the CSR
+    matrix and the generator state after the last value consumed.
+    """
+    x = DEFAULT_SEED
+
+    def randlc():
+        nonlocal x
+        x = (DEFAULT_MULTIPLIER * x) & MASK46
+        return x / float(1 << 46)
+
+    randlc()  # the driver's warm-up call
+    n, nonzer = params.n, params.nonzer
+    nn1 = 1
+    while nn1 < n:
+        nn1 *= 2
+    ratio = params.rcond ** (1.0 / n)
+    size = 1.0
+    rows, cols, vals = [], [], []
+    for iouter in range(1, n + 1):
+        values, indices = [], []
+        while len(values) < nonzer:
+            vecelt = randlc()
+            vecloc = randlc()
+            i = int(vecloc * nn1) + 1
+            if i > n or i in indices:
+                continue
+            values.append(vecelt)
+            indices.append(i)
+        if iouter in indices:
+            values[indices.index(iouter)] = 0.5
+        else:
+            values.append(0.5)
+            indices.append(iouter)
+        v = np.asarray(values)
+        idx = np.asarray(indices, dtype=np.int64) - 1
+        block = np.outer(v, v) * size
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append(block.ravel())
+        size *= ratio
+    diag = np.arange(n, dtype=np.int64)
+    rows.append(diag)
+    cols.append(diag)
+    vals.append(np.full(n, params.rcond - params.shift))
+    a = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    return a, x
+
+
+def assert_matches_reference(npb_class):
+    params = cg_params(npb_class)
+    ref, ref_state = reference_makea(params)
+    clear_matrix_cache()
+    for _ in range(2):  # generated, then served from the cache
+        a, rng = make_matrix(params)
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.data, ref.data)
+        assert rng.state == ref_state
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +104,13 @@ class TestMakea:
         # inverse power method.
         diag = matrix_s.diagonal()
         assert np.all(diag < 0)
+
+    def test_class_s_matches_reference_builder(self):
+        assert_matches_reference(NPBClass.S)
+
+    @pytest.mark.slow
+    def test_class_w_matches_reference_builder(self):
+        assert_matches_reference(NPBClass.W)
 
     def test_deterministic(self):
         a1, _ = make_matrix(cg_params(NPBClass.S))
@@ -77,42 +158,15 @@ class TestRunCG:
         assert result.details["zeta"] == pytest.approx(10.362595087124, abs=1e-10)
 
 
-class TestBatchedRandlc:
-    def test_stream_matches_scalar_reference(self):
-        from repro.npb.cg import _BatchedRandlc, _ScalarRandlc
-
-        scalar, batched = _ScalarRandlc(), _BatchedRandlc()
-        # Mixed next()/draw() patterns, including a draw larger than one
-        # refill block, must consume the identical stream.
-        for k in (1, 1, 7, 1500, 2, 1024, 3, 2500):
-            assert np.array_equal(scalar.draw(k), batched.draw(k))
-            assert scalar.x == batched.x
-        for _ in range(100):
-            assert scalar.next() == batched.next()
-        assert scalar.x == batched.x
-
-    def test_reseeding_from_x_continues_stream(self):
-        from repro.npb.cg import _BatchedRandlc
-
-        a = _BatchedRandlc()
-        a.draw(777)  # leave lookahead in the buffer
-        b = _BatchedRandlc(a.x)
-        assert np.array_equal(a.draw(50), b.draw(50))
-
-
 class TestMatrixCache:
     def test_hit_returns_same_matrix_and_equivalent_stream(self):
-        from repro.npb.cg import clear_matrix_cache, make_matrix
-
         clear_matrix_cache()
         a1, rng1 = make_matrix(cg_params(NPBClass.S))
         a2, rng2 = make_matrix(cg_params(NPBClass.S))
         assert a1 is a2  # shared read-only artifact
-        assert np.array_equal(rng1.draw(64), rng2.draw(64))
+        assert np.array_equal(rng1.generate(64), rng2.generate(64))
 
     def test_clear_evicts(self):
-        from repro.npb.cg import clear_matrix_cache, make_matrix
-
         clear_matrix_cache()
         a1, _ = make_matrix(cg_params(NPBClass.S))
         clear_matrix_cache()

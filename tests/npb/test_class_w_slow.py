@@ -1,4 +1,5 @@
-"""Class W functional runs (bigger than CI-default class S)."""
+"""Functional runs above class S: IS, MG, EP, FT and BT at class W, plus
+EP class A against its official NPB constants."""
 
 import pytest
 
