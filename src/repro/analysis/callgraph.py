@@ -3,16 +3,16 @@
 The per-file extractor in :mod:`repro.analysis.locks` reduces each parsed
 ``SourceModule`` to a JSON-serializable fact bundle: the module's import
 aliases, its functions and methods, the locks it defines, and -- per
-function -- the ordered lock acquisitions, outgoing calls, blocking
-operations, and lock re-initialisations.  This module stitches those
+function -- the ordered lock acquisitions, outgoing calls and blocking
+operations.  This module stitches those
 per-file bundles into a whole-program view:
 
 * a symbol table mapping dotted names to function ids (``repo.*`` imports,
   ``from`` re-exports through package ``__init__`` modules, methods via
   ``self.``, and constructors via ``ClassName(...)``),
 * a call graph whose edges are the resolved call descriptors, and
-* memoised transitive closures over that graph (locks acquired, blocking
-  operations reached, locks re-initialised, executor globals touched).
+* memoised transitive closures over that graph (locks acquired and
+  blocking operations reached).
 
 Resolution is deliberately static and conservative: a call through a
 variable of unknown type simply produces no edge.  Under-approximating
@@ -75,10 +75,6 @@ class ProjectIndex:
         self._paths: dict[str, str] = {}
         #: fully-qualified lock id -> kind ("Lock" | "RLock")
         self.locks: dict[str, str] = {}
-        #: module-level lock ids only (the fork-unsafe kind)
-        self.module_locks: set[str] = set()
-        #: module-level ProcessPoolExecutor globals, fully qualified
-        self.executors: set[str] = set()
         for path, facts in sorted(facts_by_path.items()):
             if not facts:
                 continue
@@ -86,14 +82,10 @@ class ProjectIndex:
             self._modules[mod] = facts
             self._paths[mod] = path
             for name, kind in facts.get("locks", {}).items():
-                lock_id = f"{mod}.{name}"
-                self.locks[lock_id] = kind
-                self.module_locks.add(lock_id)
+                self.locks[f"{mod}.{name}"] = kind
             for cls, info in facts.get("classes", {}).items():
                 for attr, kind in info.get("locks", {}).items():
                     self.locks[f"{mod}.{cls}.{attr}"] = kind
-            for name in facts.get("executors", ()):
-                self.executors.add(f"{mod}.{name}")
         self._resolve_memo: dict[tuple[str, str], str | None] = {}
         self._closure_memo: dict[str, dict[str, frozenset]] = {}
 
@@ -212,28 +204,6 @@ class ProjectIndex:
                 return fn_id(mod, method)
         return None
 
-    # -- worker entry points -------------------------------------------
-
-    def worker_entries(self) -> list[str]:
-        """Functions that run inside forked process-shard children.
-
-        A function is a worker entry when its name matches the R008
-        heuristic (``*_worker`` / ``*shard*``) or when it is submitted to
-        an executor known to be a ``ProcessPoolExecutor``.
-        """
-        workers: set[str] = set()
-        for fnid, _path, fn in self.functions():
-            if fn.get("worker"):
-                workers.add(fnid)
-        for mod, facts in self._modules.items():
-            for chain, is_proc, _line, _col in facts.get("submits", ()):
-                if not is_proc:
-                    continue
-                target = self._resolve_call_uncached(mod, "", chain)
-                if target is not None:
-                    workers.add(target)
-        return sorted(workers)
-
     # -- transitive closures -------------------------------------------
 
     def _direct(self, fnid: str, key: str) -> frozenset:
@@ -248,14 +218,6 @@ class ProjectIndex:
         if key == "blocking":
             return frozenset(
                 (op, bool(io)) for op, io, _l, _c, _held in fn.get("blocking", ())
-            )
-        if key == "reinits":
-            return frozenset(fn.get("reinits", ()))
-        if key == "executors":
-            mod, _ = split_fn_id(fnid)
-            return frozenset(
-                f"{mod}.{name}" for name, _l, _c in fn.get("exec_loads", ())
-                if f"{mod}.{name}" in self.executors
             )
         raise KeyError(key)
 
@@ -294,11 +256,3 @@ class ProjectIndex:
     def blocking_closure(self, fnid: str) -> frozenset:
         """``(op, is_io)`` blocking operations reachable from ``fnid``."""
         return self._closures("blocking").get(fnid, frozenset())
-
-    def reinit_closure(self, fnid: str) -> frozenset:
-        """Locks re-initialised (rebound to a fresh Lock) from ``fnid``."""
-        return self._closures("reinits").get(fnid, frozenset())
-
-    def executor_closure(self, fnid: str) -> frozenset:
-        """Module-level executor globals touched from ``fnid``."""
-        return self._closures("executors").get(fnid, frozenset())

@@ -1,4 +1,5 @@
-"""Built-in rules.  Importing this package registers R001-R013."""
+"""Built-in rules.  Importing this package registers R001-R013
+(R008 and R011 are retired; their codes are not reused)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,8 @@ from . import (  # noqa: F401
     catalog,
     concurrency,
     determinism,
-    forksafety,
     lockorder,
     parity,
-    procshard,
     resilience,
     storeio,
     telemetry,
@@ -26,10 +25,8 @@ __all__ = [
     "parity",
     "telemetry",
     "resilience",
-    "procshard",
     "lockorder",
     "blocking",
-    "forksafety",
     "storeio",
     "benchrecord",
 ]

@@ -18,8 +18,8 @@ Commands
 ``lint``         repo-aware static analysis (determinism, locking, units,
                  catalog invariants, model parity, telemetry discipline,
                  exception hygiene, whole-program concurrency: lock
-                 order, blocking-under-lock, fork safety) on an
-                 incremental, process-parallel engine
+                 order, blocking-under-lock) on an incremental,
+                 process-parallel engine
 ``stats``        regenerate one table/figure with telemetry enabled and
                  print the span tree, counters and timings
 ``faults``       resilience smoke test: run a sweep under an injected
@@ -67,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     jobs_help = "worker threads for sweep execution (default: REPRO_JOBS or auto)"
-    procs_help = (
-        "worker processes for cold sweep execution: families are sharded "
-        "across forked workers with per-shard journals merged by cache key "
-        "(default: REPRO_PROCS or 1)"
-    )
     telemetry_help = "write a schema-v1 telemetry JSON report to PATH"
     retries_help = "transient-failure retry budget (default: REPRO_RETRIES or 2)"
     fault_seed_help = (
@@ -96,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _sweep_flags(p) -> None:
         p.add_argument("--jobs", type=int, default=None, help=jobs_help)
-        p.add_argument("--procs", type=int, default=None, help=procs_help)
         p.add_argument("--retries", type=int, default=None, help=retries_help)
         p.add_argument("--fault-seed", type=int, default=None, help=fault_seed_help)
         p.add_argument("--fault-rate", type=float, default=0.1, help=fault_rate_help)
@@ -191,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     p.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p.add_argument("--procs", type=int, default=None, help=procs_help)
     p.add_argument("--store", metavar="DIR", default=None, help=store_help)
     p.add_argument("--store-max-mb", type=int, default=None, help=store_max_help)
 
@@ -713,9 +706,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     recorder = obs.install()
     # Surface the engine sizing this run resolved (argument, environment
     # or default) so `repro stats` answers "how parallel was that?".
-    engine = default_engine()
-    obs.incr("sweep.jobs_resolved", engine.jobs)
-    obs.incr("sweep.procs_resolved", engine.procs)
+    obs.incr("sweep.jobs_resolved", default_engine().jobs)
     try:
         if kind == "table":
             from repro.harness import build_table
@@ -806,12 +797,22 @@ def _cmd_score(_args: argparse.Namespace) -> int:
 
 
 def _lint_help() -> str:
-    """Derived from the registry so the range can never go stale."""
+    """Derived from the registry so the listed codes can never go stale.
+
+    Consecutive codes collapse into ranges; retired codes leave a gap.
+    """
     from repro.analysis.registry import registered_codes
 
-    codes = registered_codes()
-    span = f"{codes[0]}-{codes[-1]}" if len(codes) > 1 else codes[0]
-    return f"repo-aware static analysis ({span})"
+    runs: list[list[int]] = []
+    for n in (int(code[1:]) for code in registered_codes()):
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    spans = ", ".join(
+        f"R{lo:03d}" if lo == hi else f"R{lo:03d}-R{hi:03d}" for lo, hi in runs
+    )
+    return f"repo-aware static analysis ({spans})"
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -882,15 +883,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             set_default_jobs(jobs)
         except ValueError as exc:
             print(f"repro: error: --jobs: {exc}", file=sys.stderr)
-            return 2
-    procs = getattr(args, "procs", None)
-    if procs is not None:
-        from repro.core.sweep import set_default_procs
-
-        try:
-            set_default_procs(procs)
-        except ValueError as exc:
-            print(f"repro: error: --procs: {exc}", file=sys.stderr)
             return 2
     retries = getattr(args, "retries", None)
     if retries is not None and args.command != "faults":

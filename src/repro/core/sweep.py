@@ -26,19 +26,18 @@ isolation is ever needed.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro import faults, obs
 from repro.faults import GroupTimeoutError, SweepJournal, TransientError
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
-from .perfmodel import DNRError, PerformanceModel
+from .perfmodel import DNRError
 from .plan import PlanNotApplicable, plan_groups
 from .results import ExperimentResult
 
@@ -50,7 +49,6 @@ __all__ = [
     "default_engine",
     "set_default_jobs",
     "set_default_retries",
-    "set_default_procs",
     "set_default_store",
     "clear_caches",
     "DEFAULT_RETRIES",
@@ -125,9 +123,8 @@ def compute_cache_key(
 ) -> tuple:
     """The full memo key for one config under given runner settings.
 
-    Module-level (not only an engine method) so process-shard workers,
-    which reconstruct the runner from ``(seed, noise_cv, calibrate)``,
-    derive byte-identical journal keys without an engine instance.
+    Module-level (not only an engine method) so a key can be derived
+    from the runner settings alone, without an engine instance.
     """
     return (
         seed,
@@ -170,12 +167,6 @@ class SweepEngine:
         Optional :class:`repro.faults.SweepJournal`; completed families
         are persisted as they land and preloaded on attach, so an
         interrupted run resumes from completed families.
-    procs:
-        Worker *processes* for cold batches: when ``> 1`` (and the
-        planner is applicable) pending families are sharded round-robin
-        across forked workers, each journaling to a per-shard sidecar
-        merged by cache key on completion.  ``None`` reads
-        ``REPRO_PROCS``, falling back to ``1`` (no sharding).
     planner:
         Whether cold batches may be flattened into one megagrid pass
         (:func:`repro.core.plan.plan_groups`) instead of per-family
@@ -229,13 +220,11 @@ class SweepEngine:
         backoff_s: float = 0.02,
         group_timeout_s: float | None = None,
         journal=None,
-        procs: int | None = None,
         planner: bool | None = None,
         store=None,
     ) -> None:
         self.runner = runner or ExperimentRunner()
         self.jobs = self._resolve_jobs(jobs)
-        self.procs = self._resolve_procs(procs)
         self.planner = self._resolve_planner(planner)
         self.retries = self._resolve_retries(retries)
         self.store = self._resolve_store(store)
@@ -282,22 +271,6 @@ class SweepEngine:
         return jobs
 
     @staticmethod
-    def _resolve_procs(procs: int | None) -> int:
-        """Resolve the worker-process count (``REPRO_PROCS``, default 1).
-
-        Unlike ``jobs`` there is no implicit multi-proc default: forking
-        is a behaviour change an operator opts into via the argument,
-        the ``--procs`` flag or the environment.  Surfaced by ``repro
-        stats`` as ``sweep.procs_resolved``.
-        """
-        if procs is None:
-            env = os.environ.get("REPRO_PROCS")
-            procs = int(env) if env is not None else 1
-        if procs < 1:
-            raise ValueError("procs must be >= 1")
-        return procs
-
-    @staticmethod
     def _resolve_planner(planner: bool | None) -> bool:
         if planner is None:
             return os.environ.get("REPRO_PLANNER", "1") != "0"
@@ -317,8 +290,8 @@ class SweepEngine:
         """Resolve the persistent result store (``REPRO_STORE``, default none).
 
         Accepts a ready :class:`repro.store.ResultStore`, a directory
-        path, or ``None`` (consult the environment).  Like ``procs``,
-        persistence is a behaviour an operator opts into explicitly.
+        path, or ``None`` (consult the environment).  Persistence is a
+        behaviour an operator opts into explicitly.
         """
         if store is None:
             from repro.store import store_from_env
@@ -374,37 +347,12 @@ class SweepEngine:
         oblivious to whatever else shares the engine.  Preloading is
         never filtered -- a journal entry is valid cached work wherever
         it came from.
-
-        Leftover per-shard sidecars (``<journal>.shardN``, from a
-        sharded run that died before its merge) are folded into the
-        attached journal here and removed.
         """
         keyset = None if keys is None else frozenset(keys)
         with self._lock:
             self._journals.append((journal, keyset))
             for key, value in journal.results().items():
                 self._results.setdefault(key, value)
-        self._absorb_shard_sidecars(journal)
-
-    def _absorb_shard_sidecars(self, journal) -> None:
-        """Merge and remove ``<journal>.shardN`` sidecar files.
-
-        Sidecar entries are keyed by the same full cache keys as the
-        main journal, so they merge (then vanish) exactly like a resumed
-        main journal; entries from mismatched settings stay inert.
-        """
-        pattern = journal.path.name + ".shard*"
-        for sidecar_path in sorted(journal.path.parent.glob(pattern)):
-            entries = SweepJournal(sidecar_path).results()
-            if entries:
-                journal.record(entries)
-                with self._lock:
-                    for key, value in entries.items():
-                        self._results.setdefault(key, value)
-            try:
-                os.unlink(sidecar_path)
-            except OSError:
-                pass
 
     def detach_journal(self, journal=None) -> None:
         """Detach one journal (or, with no argument, every attached one).
@@ -450,7 +398,7 @@ class SweepEngine:
         """Register ``hook(n_configs, dnr)``, called after each family lands.
 
         Hooks fire once per completed thread-sweep family -- planned,
-        pooled, serial or process-sharded -- right after its results are
+        pooled or serial -- right after its results are
         stored and journaled, and always *outside* the engine lock, so a
         hook may freely call back into the engine.  ``dnr`` is True when
         the family's shared outcome was a DNR verdict.  Hook exceptions
@@ -815,9 +763,7 @@ class SweepEngine:
         preemption, so either forces the per-family path.  Subclassed
         runners/models are detected inside
         :func:`repro.core.plan.plan_groups` itself, which refuses with
-        :class:`PlanNotApplicable` (for process sharding, where the
-        worker never sees the parent's objects, :meth:`_runner_is_stock`
-        re-checks up front).
+        :class:`PlanNotApplicable` before doing any work.
         """
         return (
             self.planner
@@ -825,29 +771,7 @@ class SweepEngine:
             and not faults.is_enabled()
         )
 
-    def _runner_is_stock(self) -> bool:
-        """Whether shard workers can reconstruct this runner exactly.
-
-        Workers rebuild the runner from ``(seed, noise_cv, calibrate)``;
-        that reconstruction is only faithful for the stock classes.
-        """
-        return (
-            type(self.runner) is ExperimentRunner
-            and type(self.runner.model) is PerformanceModel
-        )
-
     def _execute_groups(self, groups: list[list[ExperimentConfig]]) -> None:
-        # Process sharding runs before any span handles are opened: shard
-        # workers record the group spans themselves and the parent grafts
-        # them, so pre-opened handles would double-count.
-        if (
-            self.procs > 1
-            and len(groups) > 1
-            and self._planner_applicable()
-            and _fork_available()
-        ):
-            if self._execute_groups_sharded(groups):
-                return
         # Group spans are opened here, in the submitting thread, so the
         # span tree's shape is identical for serial and parallel runs.
         # Handles whose group never executes (pool startup failure, a
@@ -929,104 +853,6 @@ class SweepEngine:
             self._journal_record(store)
             self._publish_store(store)
             self._notify_family(len(group), dnr=False)
-
-    def _execute_groups_sharded(self, groups: list[list[ExperimentConfig]]) -> bool:
-        """Fan cold families out across forked worker processes.
-
-        All-or-nothing: results, counters, span subtrees and main-journal
-        entries are committed only after every shard returns, so a worker
-        failure (or an environment that cannot fork) leaves no trace and
-        the caller falls back to the in-process paths, which reproduce
-        exact per-family semantics -- including re-raising whatever
-        felled the worker.  Workers journal each completed family to a
-        ``<journal>.shardN`` sidecar, so even the discarded partial work
-        of a crashed run survives for :meth:`attach_journal` to absorb.
-        """
-        if not self._runner_is_stock():
-            return False
-        runner = self.runner
-        # Sidecars are keyed off the first attached journal's path; with
-        # none attached the shards run journal-free (results still merge
-        # through the all-or-nothing commit below).
-        with self._lock:
-            journals = list(self._journals)
-        base_path = str(journals[0][0].path) if journals else None
-        procs = min(self.procs, len(groups))
-        # Contiguous block shards (not round-robin): grafting the shard
-        # span trees in shard order then reproduces the exact child
-        # order the sequential path creates, keeping serialised span
-        # trees byte-identical, not merely equivalent.
-        shards: list[list[tuple[int, list[ExperimentConfig]]]] = []
-        base, extra = divmod(len(groups), procs)
-        start = 0
-        for s in range(procs):
-            size = base + (1 if s < extra else 0)
-            shards.append([(i, groups[i]) for i in range(start, start + size)])
-            start += size
-        telemetry = obs.is_enabled()
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=procs,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except (RuntimeError, OSError, ValueError):
-            return False
-        merged: list = [None] * len(groups)
-        counter_merge: dict[str, int] = {}
-        span_merge: list[list[dict]] = []
-        sidecars: list[str] = []
-        ok = False
-        try:
-            futures = []
-            for s, shard in enumerate(shards):
-                sidecar = f"{base_path}.shard{s}" if base_path is not None else None
-                payload = (
-                    [group for _, group in shard],
-                    runner.seed,
-                    runner.noise_cv,
-                    runner.model.calibrate,
-                    telemetry,
-                    sidecar,
-                )
-                try:
-                    futures.append((shard, pool.submit(_shard_worker, payload)))
-                except (RuntimeError, OSError):
-                    return False
-                if sidecar is not None:
-                    sidecars.append(sidecar)
-            for shard, future in futures:
-                try:
-                    outcomes, counters, children = future.result()
-                except Exception:  # repro: noqa[R007] -- worker failures fall back to the in-process path, which re-raises with exact per-family semantics
-                    return False
-                for (i, _group), outcome in zip(shard, outcomes):
-                    merged[i] = outcome
-                for name, value in counters.items():
-                    counter_merge[name] = counter_merge.get(name, 0) + value
-                span_merge.append(children)
-            ok = True
-        finally:
-            pool.shutdown(wait=ok, cancel_futures=not ok)
-        for name in sorted(counter_merge):
-            obs.incr(name, counter_merge[name])
-        for children in span_merge:
-            obs.graft_children(children)
-        for group, outcome in zip(groups, merged):
-            if isinstance(outcome, DNRError):
-                store = {self.cache_key(c): outcome for c in group}
-            else:
-                store = dict(zip((self.cache_key(c) for c in group), outcome))
-            with self._lock:
-                self._results.update(store)
-            self._journal_record(store)
-            self._publish_store(store)
-            self._notify_family(len(group), dnr=isinstance(outcome, DNRError))
-        for sidecar in sidecars:
-            try:
-                os.unlink(sidecar)
-            except OSError:
-                pass
-        return True
 
     def _make_pool(self, workers: int) -> ThreadPoolExecutor:
         """Pool construction, separated so tests can starve it."""
@@ -1154,117 +980,6 @@ class SweepEngine:
 
 
 # ----------------------------------------------------------------------
-# Process-shard workers (module-level for pickling across the fork)
-# ----------------------------------------------------------------------
-
-
-def _fork_available() -> bool:
-    """Whether this platform can fork shard workers at all."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _reinit_forked_locks() -> None:
-    """Give a forked shard worker fresh module-level locks.
-
-    ``fork`` snapshots lock state: a lock some other parent thread
-    happened to hold at fork time would be held forever in the child.
-    Every process-wide lock in the package is rebound here, at worker
-    startup, before anything in the child can take one.
-    """
-    import repro.cachesim.stats as _stats
-    import repro.cachesim.trace as _trace
-    import repro.faults.plan as _faults_plan
-    import repro.npb.cg as _cg
-    import repro.npb.ep as _ep
-    import repro.obs as _obs
-
-    from . import plan as _plan
-
-    global _default_lock, _default_engine
-    _obs._recorder_lock = threading.Lock()
-    _faults_plan._plan_lock = threading.Lock()
-    _stats._profile_lock = threading.Lock()
-    _trace._trace_lock = threading.Lock()
-    _cg._matrix_lock = threading.Lock()
-    _ep._golden_lock = threading.Lock()
-    _plan._fastpath_lock = threading.Lock()
-    _default_lock = threading.Lock()  # repro: noqa[R002] -- freshly forked child is single-threaded; the stale lock being replaced is itself the hazard
-    with _default_lock:
-        # The inherited default engine carries the parent's (possibly
-        # held) instance locks; drop it so any use in the child starts
-        # from a clean engine.
-        _default_engine = None
-
-
-def _shard_worker(payload: tuple):
-    """Evaluate one shard of thread-sweep families in a forked child.
-
-    Reconstructs a stock runner from the parent's ``(seed, noise_cv,
-    calibrate)`` triple (faithful by the parent's ``_runner_is_stock``
-    gate), evaluates its families through the planner with a per-family
-    fallback, and emits per-group telemetry into a private recorder
-    whose counters and span children the parent merges deterministically.
-    Completed families are journaled to the per-shard sidecar as they
-    land, so a crash after partial progress still leaves resumable
-    state.  Non-DNR errors propagate to the parent, which discards the
-    whole sharded attempt and re-executes in process.
-    """
-    groups, seed, noise_cv, calibrate, telemetry, sidecar = payload
-    _reinit_forked_locks()
-    recorder = obs.install() if telemetry else None
-    if recorder is None:
-        obs.disable()
-    runner = ExperimentRunner(
-        model=PerformanceModel(calibrate=calibrate), noise_cv=noise_cv, seed=seed
-    )
-    journal = SweepJournal(sidecar) if sidecar is not None else None
-    try:
-        planned = plan_groups(runner, groups)
-    except PlanNotApplicable:
-        planned = None
-    outcomes = []
-    for idx, group in enumerate(groups):
-        handle = obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
-        with obs.activate(handle):
-            if planned is not None:
-                outcome = planned[idx]
-                obs.incr("model.batch_calls")
-                obs.incr("model.batch_points", len(group))
-            else:
-                try:
-                    outcome = runner.run_many(group)
-                except DNRError as exc:
-                    outcome = exc
-            if isinstance(outcome, DNRError):
-                obs.incr("sweep.dnr_raises")
-                store = {
-                    compute_cache_key(seed, noise_cv, calibrate, c): outcome
-                    for c in group
-                }
-            else:
-                obs.incr("sweep.groups_executed")
-                obs.incr("sweep.configs_executed", len(group))
-                store = dict(
-                    zip(
-                        (
-                            compute_cache_key(seed, noise_cv, calibrate, c)
-                            for c in group
-                        ),
-                        outcome,
-                    )
-                )
-            if journal is not None:
-                journal.record(store)
-        outcomes.append(outcome)
-    if recorder is not None:
-        counters = recorder.counters_snapshot()
-        children = recorder.span_tree()["children"]
-    else:
-        counters, children = {}, []
-    return outcomes, counters, children
-
-
-# ----------------------------------------------------------------------
 # Process-wide default engine (what the harness and CLI share)
 # ----------------------------------------------------------------------
 
@@ -1295,12 +1010,6 @@ def set_default_retries(retries: int | None) -> None:
     """Set the transient-retry budget on the shared engine (``--retries``)."""
     engine = default_engine()
     engine.retries = SweepEngine._resolve_retries(retries)
-
-
-def set_default_procs(procs: int | None) -> None:
-    """Set worker-process count on the shared engine (the ``--procs`` flag)."""
-    engine = default_engine()
-    engine.procs = SweepEngine._resolve_procs(procs)
 
 
 def set_default_store(store) -> None:

@@ -94,9 +94,8 @@ def _mops(
 # Per-table prefetch grids.  Each builder batch-executes its whole grid
 # up front; exposing the grids separately lets callers regenerating
 # several artifacts (``repro export``, a full paper run) flatten them
-# into ONE ``run_many`` megagrid -- a single planner pass, sharded
-# across processes under ``--procs`` -- after which the per-table
-# prefetches below are pure cache hits.
+# into ONE ``run_many`` megagrid -- a single planner pass -- after
+# which the per-table prefetches below are pure cache hits.
 
 
 def _table2_grid() -> list[ExperimentConfig]:

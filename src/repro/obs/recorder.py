@@ -69,23 +69,6 @@ class Span:
         return f"Span({self.name!r}, count={self.count}, children={len(self.children)})"
 
 
-def _graft(parent: Span, children: list[dict]) -> None:
-    """Merge serialised subtrees (``to_dict`` children lists) under a node.
-
-    Nodes merge by name exactly as live spans do (``open_span`` on an
-    existing name), counts add, and recursion preserves each subtree's
-    shape -- so grafting the span children of N process-shard recorders
-    in shard order is deterministic and order-insensitive in the result.
-    """
-    for child in children:
-        node = parent.children.get(child["name"])
-        if node is None:
-            node = parent.children[child["name"]] = Span(child["name"])
-            node.parent = parent
-        node.count += child["count"]
-        _graft(node, child["children"])
-
-
 class HostTimer:
     """Context manager measuring one wall-clock interval.
 
@@ -173,9 +156,6 @@ class NullRecorder:
         pass
 
     def record_timing(self, name: str, elapsed_s: float) -> None:
-        pass
-
-    def graft_children(self, children: list[dict]) -> None:
         pass
 
     # -- snapshot API (shape-compatible with TelemetryRecorder) --------
@@ -293,18 +273,6 @@ class TelemetryRecorder:
             else:
                 cell[0] += elapsed_s
                 cell[1] += 1
-
-    def graft_children(self, children: list[dict]) -> None:
-        """Merge serialised span subtrees under this thread's current span.
-
-        Process-shard workers record into private recorders; the parent
-        grafts each worker's ``span_tree()["children"]`` here so a
-        sharded run's tree is indistinguishable from the same work done
-        in-process.  Counts add; merge order does not affect the result.
-        """
-        parent = self.current()
-        with self._lock:
-            _graft(parent, children)
 
     # -- snapshot API --------------------------------------------------
 

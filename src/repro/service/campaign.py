@@ -352,7 +352,7 @@ def run_campaign(
     ``jobs`` bounds how many scenario jobs run concurrently (default 1:
     strictly sequential, in scenario order deferred past ``needs``
     edges).  Parallelism below that still lives inside the engine --
-    its thread pool, planner and ``--procs`` sharding -- and the store
+    its thread pool and planner -- and the store
     plus per-job journals make every artifact identical whichever way
     the schedule interleaved.  Artifacts and the manifest go through
     atomic writes, so an interrupted campaign leaves only complete

@@ -36,7 +36,7 @@ The service's unit of admission is a :class:`Job` wrapping one
   keys, so an interrupted service resumes a half-done job's completed
   families on resubmission.
 
-Concurrency discipline (lint rules R009-R011): the single manager lock
+Concurrency discipline (lint rules R009-R010): the single manager lock
 guards *state transitions only*.  Queue hand-off uses a stdlib
 ``queue.Queue`` (never waited on under the lock), job execution and
 every engine call happen outside the lock, and completion events are

@@ -139,6 +139,14 @@ def _int_axis(payload: dict, name: str, default: tuple[int, ...]) -> tuple[int, 
     return tuple(out)
 
 
+def _check_threads(machine, n_threads: int) -> None:
+    """Reject a thread count the machine cannot run (400, not a FAILED job)."""
+    try:
+        machine.validate_thread_count(n_threads)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from None
+
+
 def parse_request(payload: dict) -> JobRequest:
     """Validate and normalise one JSON request payload.
 
@@ -165,15 +173,21 @@ def parse_request(payload: dict) -> JobRequest:
         return JobRequest(kind=kind, number=number)
 
     if kind == "whatif":
+        from repro.machines import get_machine
         from repro.npb.suite import RUNNERS
 
         kernel = payload.get("kernel")
-        if kernel not in RUNNERS:
+        if not isinstance(kernel, str) or kernel not in RUNNERS:
             raise RequestError(
                 f"whatif kernel must be one of {sorted(RUNNERS)}, got {kernel!r}"
             )
-        (n_threads,) = _int_axis(payload, "threads", (64,)) or (64,)
-        return JobRequest(kind="whatif", kernel=kernel, n_threads=n_threads)
+        threads = _int_axis(payload, "threads", (64,))
+        if len(threads) != 1:
+            raise RequestError(f"whatif threads must be one int, got {threads!r}")
+        # The upgrade ladder runs the kernel on both ends of the upgrade.
+        for machine in ("sg2042", "sg2044"):
+            _check_threads(get_machine(machine), threads[0])
+        return JobRequest(kind="whatif", kernel=kernel, n_threads=threads[0])
 
     machines = _string_axis(payload, "machines", required=True)
     kernels = _string_axis(payload, "kernels", required=True)
@@ -204,8 +218,9 @@ def parse_request(payload: dict) -> JobRequest:
         vectorise=vectorise,
         runs=runs,
     )
-    # Resolve the grid eagerly so unknown machines/kernels fail at
-    # submission time (HTTP 400) rather than inside a worker (FAILED).
+    # Resolve the grid eagerly so unknown machines/kernels and thread
+    # counts beyond a machine's cores fail at submission time (HTTP 400)
+    # rather than inside a worker (FAILED).
     configs = request_configs(request)
     if not configs:
         raise RequestError("sweep request expands to an empty grid")
@@ -215,11 +230,12 @@ def parse_request(payload: dict) -> JobRequest:
 
     for config in configs:
         try:
-            get_machine(config.machine)
+            machine = get_machine(config.machine)
             signature_for(config.kernel, config.npb_class)
             get_compiler(config.resolved_compiler())
         except KeyError as exc:
             raise RequestError(str(exc.args[0])) from None
+        _check_threads(machine, config.n_threads)
     return request
 
 

@@ -19,10 +19,8 @@ CASES = [
     ("R005", 4),
     ("R006", 4),
     ("R007", 4),
-    ("R008", 4),
     ("R009", 4),
     ("R010", 4),
-    ("R011", 4),
     ("R012", 4),
     ("R013", 4),
 ]
@@ -438,68 +436,6 @@ class TestBlockingSpecifics:
             "        sleep(1)\n"
         )
         assert _count(f, "R010") == 1
-
-
-class TestForkSafetySpecifics:
-    def test_submitted_function_is_a_worker(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "import threading\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "_l = threading.Lock()\n"
-            "def job(x):\n"
-            "    with _l:\n"
-            "        return x\n"
-            "def run(items):\n"
-            "    pool = ProcessPoolExecutor(2)\n"
-            "    return [pool.submit(job, i) for i in items]\n"
-        )
-        report = _run_path(f, "R011")
-        assert len(report.findings) == 1
-        assert "`job`" in report.findings[0].message
-
-    def test_thread_pool_submit_is_not_a_worker(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "import threading\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "_l = threading.Lock()\n"
-            "def job(x):\n"
-            "    with _l:\n"
-            "        return x\n"
-            "def run(items):\n"
-            "    pool = ThreadPoolExecutor(2)\n"
-            "    return [pool.submit(job, i) for i in items]\n"
-        )
-        assert _count(f, "R011") == 0
-
-    def test_instance_locks_exempt(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "import threading\n"
-            "class Engine:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def merge_shard(self, items):\n"
-            "        with self._lock:\n"
-            "            return list(items)\n"
-        )
-        assert _count(f, "R011") == 0
-
-    def test_reinit_in_callee_covers_worker(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "import threading\n"
-            "_l = threading.Lock()\n"
-            "def _reinit():\n"
-            "    global _l\n"
-            "    _l = threading.Lock()\n"
-            "def merge_shard(items):\n"
-            "    _reinit()\n"
-            "    with _l:\n"
-            "        return list(items)\n"
-        )
-        assert _count(f, "R011") == 0
 
 
 def _count(path, code):

@@ -14,6 +14,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "9"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "4", "--procs", "2"], ["stats", "table6", "--procs", "2"]],
+        ids=["sweep-flags", "stats"],
+    )
+    def test_procs_flag_is_gone(self, argv, capsys):
+        # Sweeps run in one process; process sharding has no flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--procs" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_machines(self, capsys):

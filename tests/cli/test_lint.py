@@ -98,6 +98,11 @@ class TestLintHelp:
         from repro.analysis.registry import registered_codes
         from repro.cli import _lint_help
 
-        codes = registered_codes()
-        assert f"{codes[0]}-{codes[-1]}" in _lint_help()
-        assert "R013" in _lint_help()  # the newest rule is covered
+        text = _lint_help()
+        listed = []
+        for span in text[text.index("(") + 1 : text.index(")")].split(", "):
+            lo, _, hi = span.partition("-")
+            listed += [f"R{n:03d}" for n in range(int(lo[1:]), int((hi or lo)[1:]) + 1)]
+        assert listed == registered_codes()
+        assert "R013" in listed  # the newest rule is covered
+        assert "R008" not in listed and "R011" not in listed  # retired codes

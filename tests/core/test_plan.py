@@ -3,8 +3,8 @@
 The planner's whole contract is *exactness*: results, DNR entries,
 telemetry counters and the span tree must all be indistinguishable from
 the per-family execution it replaces -- across random subgrids
-(property-based), under process sharding, and for the subgrid-containment
-fast path in the single-flight table.
+(property-based) and for the subgrid-containment fast path in the
+single-flight table.
 """
 
 import random
@@ -16,8 +16,7 @@ import pytest
 from repro import obs
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.plan import PlanNotApplicable, plan_groups
-from repro.core.sweep import SweepEngine, _fork_available, expand_grid
-from repro.faults import SweepJournal
+from repro.core.sweep import SweepEngine, expand_grid
 from repro.machines.catalog import get_machine
 
 try:
@@ -137,35 +136,6 @@ class TestPlannerDifferential:
         with pytest.raises(ValueError) as family_err:
             SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False).run_many([bad])
         assert str(planned_err.value) == str(family_err.value)
-
-
-@pytest.mark.skipif(not _fork_available(), reason="needs the fork start method")
-class TestProcessSharding:
-    def test_sharded_bit_identical_and_sidecars_merged(self, tmp_path):
-        grid = expand_grid(
-            ("sg2044", "sg2042"),
-            ("is", "mg", "ep", "cg", "ft"),
-            classes="C",
-            thread_counts=(1, 8, 64),
-        )
-        journal_path = tmp_path / "sweep.journal"
-        sharded = SweepEngine(runner=ExperimentRunner(), jobs=1, procs=2)
-        sharded.attach_journal(SweepJournal(journal_path))
-        family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
-        s_results, s_counters, s_spans = _run_recorded(sharded, grid)
-        f_results, f_counters, f_spans = _run_recorded(family, grid)
-        assert s_results == f_results
-        assert s_counters == f_counters
-        assert s_spans == f_spans
-        # Per-shard sidecar journals are folded into the main journal and
-        # removed; a fresh engine resuming from it serves pure cache hits.
-        assert list(tmp_path.glob("sweep.journal.shard*")) == []
-        resumed = SweepEngine(runner=ExperimentRunner(), jobs=1)
-        resumed.attach_journal(SweepJournal(journal_path))
-        r_results = resumed.run_many(grid, on_dnr="none")
-        assert r_results == s_results
-        assert resumed.misses == 0
-        assert resumed.hits == len(grid)
 
 
 class GatedRunner(ExperimentRunner):

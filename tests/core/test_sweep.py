@@ -217,6 +217,26 @@ class TestSweepEngine:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert SweepEngine().jobs == 3
 
+    def test_no_procs_parameter(self):
+        with pytest.raises(TypeError, match="procs"):
+            SweepEngine(procs=2)
+
+    def test_repro_procs_env_runs_in_process(self, monkeypatch):
+        """A stale ``REPRO_PROCS`` neither forks nor changes the results."""
+        import os
+
+        grid = expand_grid(("sg2044", "sg2042"), KERNELS, thread_counts=(1, 64))
+        expected = SweepEngine(jobs=1).run_many(grid)
+
+        def no_fork():
+            raise AssertionError("sweep forked a child process")
+
+        monkeypatch.setenv("REPRO_PROCS", "4")
+        monkeypatch.setattr(os, "fork", no_fork)
+        engine = SweepEngine(jobs=1)
+        assert not hasattr(engine, "procs")
+        assert engine.run_many(grid) == expected
+
     def test_noise_level_in_cache_key(self):
         quiet = SweepEngine(ExperimentRunner(noise_cv=0.0))
         noisy = SweepEngine(ExperimentRunner(noise_cv=0.05))

@@ -17,6 +17,7 @@ import difflib
 import json
 from pathlib import Path
 
+from repro import obs
 from repro.service import JobManager, create_server
 
 from .conftest import http_get, http_get_json, http_post_json
@@ -43,7 +44,7 @@ class TestEndpoints:
         assert body["status"] == "ok"
         assert body["jobs_total"] == sum(body["jobs"].values())
         assert body["queue_size"] == 16
-        assert body["engine"] == {"jobs": 2, "procs": 1}
+        assert body["engine"] == {"jobs": 2}
 
     def test_submit_poll_artifact_round_trip(self, live_server):
         job_id, doc = _submit_and_finish(live_server)
@@ -79,13 +80,32 @@ class TestEndpoints:
             assert status == 400
             assert "error" in body
 
+    def test_submit_rejects_unrunnable_requests(self, live_server):
+        for payload in (
+            {"kind": "whatif", "kernel": []},
+            {"kind": "whatif", "kernel": "ep", "threads": 10**9},
+            {**SWEEP, "classes": ["A"], "threads": [10**9]},
+        ):
+            status, body = http_post_json(live_server.url("/api/v1/jobs"), payload)
+            assert status == 400, (payload, body)
+            assert "error" in body
+        status, health = http_get_json(live_server.url("/health"))
+        assert health["jobs_total"] == 0  # no job was created
+        assert obs.counter_value("service.submitted") == 0
+
     def test_submit_rejects_oversized_grid(self, live_server):
         huge = {
             "kind": "sweep",
             "machines": ["sg2042", "sg2044"],
             "kernels": ["is", "mg", "ep", "cg", "ft"],
             "classes": ["S", "W", "A", "B", "C"],
-            "threads": list(range(1, 500)),
+            # Every point is runnable (both machines have 64 cores), so
+            # only the grid's size can refuse it: 2*5*5*64*7 = 22,400.
+            "threads": list(range(1, 65)),
+            "compilers": [
+                "gcc-15.2", "gcc-14.2", "gcc-13.1", "gcc-12.3.1",
+                "gcc-11.2", "gcc-9.2", "gcc-8.4",
+            ],
         }
         status, body = http_post_json(live_server.url("/api/v1/jobs"), huge)
         assert status == 413

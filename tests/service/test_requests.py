@@ -54,6 +54,16 @@ class TestParsing:
         assert request.n_threads == 16
         assert request_configs(request) == []
 
+    def test_sweep_threads_up_to_core_count_accepted(self):
+        request = parse_request(
+            {"kind": "sweep", "machines": ["sg2044"], "kernels": ["ep"], "threads": [64]}
+        )
+        assert [c.n_threads for c in request_configs(request)] == [64]
+
+    def test_whatif_threads_up_to_core_count_accepted(self):
+        request = parse_request({"kind": "whatif", "kernel": "ep", "threads": 64})
+        assert request.n_threads == 64
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -71,6 +81,24 @@ class TestParsing:
             {"kind": "sweep", "machines": ["sg2044"], "kernels": ["ep"], "runs": 0},
             {"kind": "sweep", "machines": ["no-such-machine"], "kernels": ["ep"]},
             {"kind": "sweep", "machines": ["sg2044"], "kernels": ["no-such-kernel"]},
+            {"kind": "whatif", "kernel": []},  # unhashable, not a str
+            {"kind": "whatif", "kernel": "ep", "threads": [1, 2]},
+            {"kind": "whatif", "kernel": "ep", "threads": 10**9},
+            {"kind": "whatif", "kernel": "ep", "threads": 65},  # one past 64 cores
+            {"kind": "sweep", "machines": ["sg2044"], "kernels": ["ep"], "threads": [65]},
+            {  # 4 threads fit the SG2044 but not the single-core D1
+                "kind": "sweep",
+                "machines": ["sg2044", "allwinner-d1"],
+                "kernels": ["ep"],
+                "threads": [4],
+            },
+            {
+                "kind": "sweep",
+                "machines": ["sg2044"],
+                "kernels": ["ep"],
+                "classes": ["A"],
+                "threads": [10**9],
+            },
         ],
     )
     def test_rejects(self, payload):
