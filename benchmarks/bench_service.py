@@ -2,7 +2,8 @@
 
 Measures what a client of ``repro serve`` actually feels: the full
 urllib round trip (connect, request, JSON, response) against a live
-``ThreadingHTTPServer``.  Three warm paths, three floors:
+``ThreadingHTTPServer``, and the same round trips on one keep-alive
+``http.client`` connection.  Three warm paths, three floors:
 
 * **warm duplicates** -- re-submitting work the live service already
   executed must be absorbed by the manager's dedup + the engine's memo
@@ -20,6 +21,7 @@ Reported per run (into the schema-v1 bench artifact): p50/p95
 latencies, dedup/store hit counters, and the campaign speedup ratios.
 """
 
+import http.client
 import json
 import threading
 import urllib.request
@@ -149,6 +151,73 @@ def _teardown(manager, server, thread):
     server.server_close()
     manager.shutdown()
     thread.join(timeout=5)
+
+
+_KEEPALIVE_ROUND_TRIPS = 30
+
+
+def _call(conn, method, path, payload=None):
+    """One request on a kept-alive ``http.client`` connection."""
+    body = None if payload is None else json.dumps(payload).encode()
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def test_warm_keepalive_roundtrip(benchmark, bench_artifact):
+    """Warm submit -> wait -> artifact, all on one keep-alive connection.
+
+    This is how ``repro serve`` clients that reuse a connection see it
+    (the ``service_mix`` perfbench workload among them).  The entries
+    above go through urllib, which opens a new connection per call and
+    closes it after the reply, so they never hit the keep-alive floor:
+    a response split over two writes on a Nagle socket waits ~40 ms for
+    the client's delayed ACK, three times per round trip.  This entry
+    does, and records its p50/p95 for the gate.
+    """
+    recorder = obs.install()
+    manager, server, thread, _ = _serve(SweepEngine(jobs=2))
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=30)
+
+    def round_trip():
+        status, body = _call(conn, "POST", "/api/v1/jobs", _PAYLOAD)
+        assert status == 202
+        job_id = json.loads(body)["job_id"]
+        status, body = _call(conn, "GET", f"/api/v1/jobs/{job_id}?wait=60")
+        assert status == 200 and json.loads(body)["state"] == "done"
+        status, artifact = _call(conn, "GET", f"/api/v1/jobs/{job_id}/artifact")
+        assert status == 200
+        return artifact
+
+    try:
+        cold_artifact = round_trip()  # the one real execution
+        samples_s = []
+        for _ in range(_KEEPALIVE_ROUND_TRIPS):
+            with obs.host_timer("bench.service.keepalive_roundtrip") as timer:
+                artifact = round_trip()
+            assert artifact == cold_artifact
+            samples_s.append(timer.elapsed_s)
+
+        benchmark(round_trip)
+
+        counters = recorder.counters_snapshot()
+        assert counters["service.executions"] == 1
+
+        p50 = _percentile(samples_s, 0.50)
+        p95 = _percentile(samples_s, 0.95)
+        benchmark.extra_info["roundtrip_p50_ms"] = round(p50 * 1e3, 3)
+        bench_artifact(
+            "service.warm_keepalive_roundtrip_s",
+            round_trips=_KEEPALIVE_ROUND_TRIPS,
+            p50_s=p50,
+            p95_s=p95,
+            executions=counters["service.executions"],
+        )
+    finally:
+        conn.close()
+        _teardown(manager, server, thread)
+        obs.disable()
 
 
 _RESTART_WARM_REQUESTS = 30

@@ -13,9 +13,13 @@ Endpoints (all JSON unless noted)::
     GET  /api/v1/jobs/<id>/artifact  the finished artifact (text/csv)
     POST /api/v1/jobs/<id>/cancel    cancel a queued job
 
-Error mapping: malformed requests are 400 with a JSON ``error`` body, an
-unknown job is 404, a full queue is 429, and any unexpected handler
-failure is a 500 that names the exception instead of a closed socket.
+Error mapping: malformed requests (bad ``Content-Length`` included) are
+400 with a JSON ``error`` body, a body over 1 MiB or a job over the
+per-job sample budget is 413, an unknown job is 404, a full queue is
+429, and any unexpected handler failure is a 500 that names the
+exception instead of a closed socket.  Every response is written in one
+segment on a ``TCP_NODELAY`` socket, so keep-alive clients never wait on
+a delayed ACK.
 The server itself holds no job state -- everything lives in the
 :class:`~repro.service.jobs.JobManager`, so a server restart in front
 of journal-backed jobs loses nothing but the in-memory lifecycle table.
@@ -28,6 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro import obs
+from repro.core.experiment import DEFAULT_RUNS
 from repro.obs.export import report_dict
 
 from .jobs import JobManager, JobState, QueueFull
@@ -58,8 +63,19 @@ def _bench_trajectory() -> dict | None:
 
 #: Submissions larger than this are rejected up front (HTTP 413): cost
 #: estimation is exactly what lets the service refuse a grid it should
-#: split into smaller jobs through the campaign runner instead.
+#: split into smaller jobs through the campaign runner instead.  The
+#: bound counts samples (configs x runs), so a default-runs grid is
+#: admitted up to this many configs and a huge ``runs`` on one config
+#: is refused as well.
 MAX_CONFIGS_PER_JOB = 20_000
+MAX_SAMPLES_PER_JOB = MAX_CONFIGS_PER_JOB * DEFAULT_RUNS
+
+#: POST bodies larger than this are refused (HTTP 413) unread.
+MAX_BODY_BYTES = 2**20
+
+
+class _BodyTooLarge(Exception):
+    """A POST body over :data:`MAX_BODY_BYTES` (HTTP 413, left unread)."""
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -74,6 +90,9 @@ class ServiceServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup()`` sets ``TCP_NODELAY`` on the
+    #: accepted socket, so a keep-alive reply never waits on Nagle.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -86,27 +105,54 @@ class _Handler(BaseHTTPRequestHandler):
     def manager(self) -> JobManager:
         return self.server.manager
 
-    def _send_json(self, code: int, payload: dict | list) -> None:
-        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
+        """Write the status line, headers and body in one write.
 
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode()
+        ``end_headers()`` would flush the head on its own and the body
+        would follow in a second write; with Nagle's algorithm that
+        second segment waits for the client's delayed ACK (~40 ms).
+        Queuing the blank line and the body behind the headers lets
+        ``flush_headers()`` send the whole response as one segment.
+        """
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
+    def _send_json(self, code: int, payload: dict | list) -> None:
+        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        self._send(code, body, "application/json")
 
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The POST body as JSON, bounded before a byte of it is read.
+
+        A malformed ``Content-Length`` is a 400 and one over
+        :data:`MAX_BODY_BYTES` a 413; either way the body stays unread,
+        so the connection is closed after the reply instead of parsing
+        the leftover bytes as the next request.
+        """
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise RequestError(
+                f"Content-Length must be a non-negative integer, got {raw_length!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the limit of "
+                f"{MAX_BODY_BYTES} bytes"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError("empty request body (expected a JSON object)")
@@ -239,7 +285,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         obs.incr("service.artifacts_served")
-        self._send_text(200, artifact, "text/csv")
+        self._send(200, artifact.encode(), "text/csv")
 
     def _post_job(self) -> None:
         try:
@@ -248,15 +294,22 @@ class _Handler(BaseHTTPRequestHandler):
             obs.incr("service.bad_requests")
             self._error(400, str(exc))
             return
+        except _BodyTooLarge as exc:
+            obs.incr("service.rejected")
+            self._error(413, str(exc))
+            return
         from .requests import estimate
 
         cost = estimate(self.manager.engine, request)
-        if cost["configs"] > MAX_CONFIGS_PER_JOB:
+        samples = cost["configs"] * request.runs
+        if samples > MAX_SAMPLES_PER_JOB:
             obs.incr("service.rejected")
             self._error(
                 413,
-                f"grid of {cost['configs']} configs exceeds the per-job limit "
-                f"of {MAX_CONFIGS_PER_JOB}; split it into a campaign",
+                f"{cost['configs']} configs x {request.runs} runs = {samples} "
+                f"samples exceeds the per-job limit of {MAX_SAMPLES_PER_JOB} "
+                f"({MAX_CONFIGS_PER_JOB} configs at the default {DEFAULT_RUNS} "
+                "runs); split it into a campaign",
             )
             return
         try:

@@ -174,12 +174,14 @@ def parse_request(payload: dict) -> JobRequest:
 
     if kind == "whatif":
         from repro.machines import get_machine
-        from repro.npb.suite import RUNNERS
+        from repro.npb.params import ALL_BENCHMARKS
 
+        # The benchmark names, not the functional suite: whatif runs on
+        # signatures only, and the suite would pull in SciPy.
         kernel = payload.get("kernel")
-        if not isinstance(kernel, str) or kernel not in RUNNERS:
+        if not isinstance(kernel, str) or kernel not in ALL_BENCHMARKS:
             raise RequestError(
-                f"whatif kernel must be one of {sorted(RUNNERS)}, got {kernel!r}"
+                f"whatif kernel must be one of {sorted(ALL_BENCHMARKS)}, got {kernel!r}"
             )
         threads = _int_axis(payload, "threads", (64,))
         if len(threads) != 1:

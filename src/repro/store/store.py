@@ -25,7 +25,10 @@ processes, writers race benignly -- both write byte-identical content
 for the same key -- and :meth:`try_lease` gives callers that need
 at-most-once *execution* an O_EXCL claim.  Recency is advisory: each
 process tracks what it touched; the persisted index is a hint rebuilt
-from the objects directory whenever it is missing or stale.
+from the objects directory whenever it is missing or stale.  It is
+rewritten once per :meth:`ResultStore.put_many` batch, not once per
+entry, so index bytes written grow with batches rather than
+quadratically with entries.
 
 No wall clock anywhere: recency is a monotonic per-instance sequence
 number and lease waits are attempt-counted by the caller, keeping every
@@ -192,6 +195,34 @@ class ResultStore:
 
     def put(self, key: tuple, value) -> None:
         """Publish one entry atomically (idempotent: same key, same bytes)."""
+        self.put_many({key: value})
+
+    def put_many(self, items: dict) -> None:
+        """Publish a ``key -> value`` map: one entry file each, one index write.
+
+        Each entry file is written atomically on its own; the lock is
+        then taken once to record them all, evict once and rewrite
+        ``index.json`` once.  If an entry write raises, the entries
+        already written are still indexed before the exception
+        propagates.
+        """
+        if not items:
+            return
+        self._objects.mkdir(parents=True, exist_ok=True)
+        written: list[tuple[str, int]] = []
+        try:
+            for key, value in items.items():
+                written.append(self._write_entry(key, value))
+        finally:
+            if written:
+                with self._lock:
+                    for digest, size in written:
+                        self._touch_locked(digest, size=size)
+                    self._evict_locked()
+                    self._write_index_locked()
+
+    def _write_entry(self, key: tuple, value) -> tuple[str, int]:
+        """Write one entry file; returns its ``(digest, size)``."""
         digest = _digest_key(key)
         payload_text = json.dumps(_encode(value), sort_keys=True)
         entry_text = (
@@ -206,20 +237,10 @@ class ResultStore:
             )
             + "\n"
         )
-        self._objects.mkdir(parents=True, exist_ok=True)
-        path = self._objects / f"{digest}.json"
-        write_text_atomic(path, entry_text)
+        write_text_atomic(self._objects / f"{digest}.json", entry_text)
         obs.incr("store.writes")
         obs.incr("store.bytes_written", len(entry_text))
-        with self._lock:
-            self._touch_locked(digest, size=len(entry_text))
-            self._evict_locked()
-            self._write_index_locked()
-
-    def put_many(self, items: dict) -> None:
-        """Bulk :meth:`put` over a ``key -> value`` map."""
-        for key, value in items.items():
-            self.put(key, value)
+        return digest, len(entry_text)
 
     def _evict_locked(self) -> None:
         if self.max_bytes is None:

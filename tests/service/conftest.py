@@ -24,7 +24,7 @@ import pytest
 
 from repro import faults, obs
 from repro.core.sweep import SweepEngine
-from repro.service import JobManager, create_server
+from repro.service import JobManager, ServiceServer, create_server
 
 
 def http_get(url: str, timeout: float = 30.0) -> tuple[int, bytes]:
@@ -63,6 +63,7 @@ class LiveServer:
     manager: JobManager
     engine: SweepEngine
     recorder: object
+    server: ServiceServer
 
     def url(self, path: str) -> str:
         return self.base_url + path
@@ -111,6 +112,7 @@ def live_server(tmp_path, service_engine):
             manager=manager,
             engine=service_engine,
             recorder=recorder,
+            server=server,
         )
     finally:
         server.shutdown()

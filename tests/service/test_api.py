@@ -1,9 +1,10 @@
 """End-to-end HTTP tests against a live server, plus golden JSON snapshots.
 
 Everything here talks to a real ``ThreadingHTTPServer`` over plain
-urllib -- no test client shims -- so routing, status codes, headers and
-worker-thread hand-off are all exercised exactly as ``repro serve``
-runs them.
+urllib -- or ``http.client`` where a test needs one kept-alive
+connection or hand-written headers; no test client shims -- so routing,
+status codes, headers and worker-thread hand-off are all exercised
+exactly as ``repro serve`` runs them.
 
 The golden snapshots pin the two service documents that must stay
 byte-stable across refactors: a finished job's status document (job IDs
@@ -14,11 +15,16 @@ counters after a fixed request sequence.  Refresh intentionally with
 """
 
 import difflib
+import http.client
+import itertools
 import json
+import socket
+from collections import Counter
 from pathlib import Path
 
 from repro import obs
 from repro.service import JobManager, create_server
+from repro.service.api import MAX_BODY_BYTES, MAX_SAMPLES_PER_JOB
 
 from .conftest import http_get, http_get_json, http_post_json
 
@@ -171,6 +177,160 @@ class TestEndpoints:
         assert report["bench"]["runs"] == 1
 
 
+def _raw_post(live_server, headers: dict, body: bytes = b"") -> tuple[int, str, dict]:
+    """POST with hand-written headers: ``(status, Connection header, JSON)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", live_server.server.server_port, timeout=30)
+    try:
+        conn.putrequest("POST", "/api/v1/jobs")
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestBoundedInputs:
+    """A POST is bounded before its body is read or a job is created."""
+
+    def test_bad_content_length_is_400(self, live_server):
+        for length in ("abc", "-1"):
+            status, connection, body = _raw_post(live_server, {"Content-Length": length})
+            assert status == 400, (length, body)
+            assert "Content-Length" in body["error"]
+            assert connection == "close"  # the unread body cannot be reused
+        self._assert_no_job(live_server)
+
+    def test_body_over_limit_is_413_unread(self, live_server):
+        # Only the header is sent: the refusal must not wait for the body.
+        status, connection, body = _raw_post(
+            live_server, {"Content-Length": str(MAX_BODY_BYTES + 1)}
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert connection == "close"
+        self._assert_no_job(live_server)
+
+    def test_runs_count_against_the_sample_budget(self, live_server):
+        payload = {**SWEEP, "threads": [1], "runs": 10**6}
+        status, body = http_post_json(live_server.url("/api/v1/jobs"), payload)
+        assert status == 413
+        assert "samples" in body["error"] and "campaign" in body["error"]
+        self._assert_no_job(live_server)
+
+    @staticmethod
+    def _assert_no_job(live_server):
+        status, health = http_get_json(live_server.url("/health"))
+        assert status == 200 and health["jobs_total"] == 0
+        assert obs.counter_value("service.submitted") == 0
+
+
+def _spy_on(server) -> tuple[list, list]:
+    """Swap in a handler recording ``TCP_NODELAY`` and writes per response.
+
+    Returns ``(nodelay, writes)``: the ``TCP_NODELAY`` option of every
+    accepted socket, and one response ID per write on the connection.
+    Each write is recorded before it is sent, so once a client holds a
+    whole response, every write that made it is already counted.
+    """
+    nodelay: list[int] = []
+    writes: list[int] = []
+    response_ids = itertools.count()
+
+    class Writer:
+        def __init__(self, raw, handler):
+            self._raw = raw
+            self._handler = handler
+
+        def write(self, data):
+            writes.append(self._handler.response_id)
+            return self._raw.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._raw, name)
+
+    class SpyHandler(server.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            self.wfile = Writer(self.wfile, self)
+
+        def handle_one_request(self):
+            self.response_id = next(response_ids)
+            super().handle_one_request()
+
+    server.RequestHandlerClass = SpyHandler
+    return nodelay, writes
+
+
+def _call(conn, method: str, path: str, payload: dict | None = None) -> tuple[int, bytes]:
+    """One request on a kept-alive ``http.client`` connection."""
+    body = None if payload is None else json.dumps(payload).encode()
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestTransport:
+    """The keep-alive floor, pinned without timing anything.
+
+    A response split over two writes on a Nagle socket waits for the
+    client's delayed ACK (~40 ms) before its second segment leaves.
+    """
+
+    def test_accepted_socket_sets_tcp_nodelay(self, live_server):
+        nodelay, _ = _spy_on(live_server.server)
+        assert http_get(live_server.url("/health"))[0] == 200
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_every_response_is_one_write(self, live_server):
+        _, writes = _spy_on(live_server.server)
+        job_id, _ = _submit_and_finish(live_server)  # 202 + status JSON
+        statuses = [
+            http_get(live_server.url("/health"))[0],
+            http_get(live_server.url(f"/api/v1/jobs/{job_id}/artifact"))[0],  # CSV
+            http_get(live_server.url("/stats"))[0],
+            http_get(live_server.url("/api/v2/jobs"))[0],  # 404
+            http_post_json(live_server.url("/api/v1/jobs"), {"kind": "x"})[0],  # 400
+            _raw_post(live_server, {"Content-Length": str(MAX_BODY_BYTES + 1)})[0],
+        ]
+        assert statuses == [200, 200, 200, 404, 400, 413]
+        per_response = Counter(writes)
+        assert len(per_response) == 2 + len(statuses)
+        assert set(per_response.values()) == {1}, per_response
+
+    def test_keepalive_round_trips_match_urllib(self, live_server):
+        payloads = (
+            SWEEP,
+            {"kind": "table", "number": 5},
+            {"kind": "whatif", "kernel": "ep", "threads": 16},
+        )
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server.server_port, timeout=30
+        )
+        try:
+            sockets = set()
+            for payload in payloads:
+                status, body = _call(conn, "POST", "/api/v1/jobs", payload)
+                assert status == 202, body
+                job_id = json.loads(body)["job_id"]
+                status, body = _call(conn, "GET", f"/api/v1/jobs/{job_id}?wait=30")
+                assert status == 200 and json.loads(body)["state"] == "done"
+                status, artifact = _call(conn, "GET", f"/api/v1/jobs/{job_id}/artifact")
+                assert status == 200
+                sockets.add(conn.sock)
+
+                status, via_urllib = http_get(live_server.url(f"/api/v1/jobs/{job_id}/artifact"))
+                assert status == 200 and artifact == via_urllib
+            assert len(sockets) == 1  # one connection carried every call
+        finally:
+            conn.close()
+
+
 class TestQueuedJobsOverHTTP:
     """Paths that need jobs to *stay* queued use a workers=0 manager."""
 
@@ -204,6 +364,29 @@ class TestQueuedJobsOverHTTP:
 
             status, _ = http_get_json(base + "/stats")
             assert status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_sample_budget_boundary(self, tmp_path):
+        """A default-runs grid's worth of runs on one config, not one more."""
+        import threading
+
+        server, manager = self._paused_server(tmp_path)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_port}"
+        one = {**SWEEP, "threads": [1]}
+        try:
+            status, body = http_post_json(
+                base + "/api/v1/jobs", {**one, "runs": MAX_SAMPLES_PER_JOB}
+            )
+            assert status == 202 and body["state"] == "queued"
+            status, body = http_post_json(
+                base + "/api/v1/jobs", {**one, "runs": MAX_SAMPLES_PER_JOB + 1}
+            )
+            assert status == 413 and "campaign" in body["error"]
         finally:
             server.shutdown()
             server.server_close()

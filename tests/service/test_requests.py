@@ -211,3 +211,34 @@ class TestExecution:
         assert lines[0] == "section,step,mops,factor"
         assert lines[1].startswith("ladder,baseline-sg2042,")
         assert any(line.startswith("marginal,") for line in lines)
+
+    def test_whatif_never_imports_scipy(self):
+        """Parsing and executing a whatif stays off the functional suite.
+
+        A fresh interpreter, because this one has long since imported
+        SciPy through other tests: the whatif path must validate against
+        the benchmark names and run on signatures alone.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.core.sweep import SweepEngine\n"
+            "from repro.service import execute_request, parse_request\n"
+            "request = parse_request({'kind': 'whatif', 'kernel': 'cg', 'threads': 32})\n"
+            "assert execute_request(SweepEngine(jobs=1), request).startswith('section,')\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith(('scipy', 'repro.npb'))\n"
+            ")\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

@@ -253,6 +253,97 @@ class TestIndex:
         }
 
 
+def _index(store) -> dict:
+    return json.loads((store.root / "index.json").read_text())
+
+
+def _objects(store) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(store._objects.iterdir())}
+
+
+_BATCH = {("batch", i): f"value {i}\n" * (i + 1) for i in range(6)}
+
+
+class TestPutMany:
+    """One batch: every entry file as a lone put writes it, one index write."""
+
+    def test_writes_index_once(self, store, monkeypatch):
+        from repro.store import store as store_module
+
+        paths = []
+        real = store_module.write_text_atomic
+
+        def spy(path, text, *args, **kwargs):
+            paths.append(path.name)
+            return real(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "write_text_atomic", spy)
+        store.put_many(_BATCH)
+        assert paths.count("index.json") == 1
+        assert len(paths) == len(_BATCH) + 1
+
+    def test_matches_sequential_puts(self, tmp_path):
+        batched = ResultStore(tmp_path / "batched")
+        batched.put(("old",), "written before the batch")
+        batched.put_many(_BATCH)
+        sequential = ResultStore(tmp_path / "sequential")
+        sequential.put(("old",), "written before the batch")
+        for key, value in _BATCH.items():
+            sequential.put(key, value)
+
+        assert _objects(batched) == _objects(sequential)  # byte-identical
+        a, b = _index(batched)["entries"], _index(sequential)["entries"]
+        assert {d: m["size"] for d, m in a.items()} == {d: m["size"] for d, m in b.items()}
+
+        def seq_order(entries):
+            return sorted(entries, key=lambda digest: entries[digest]["seq"])
+
+        assert seq_order(a) == seq_order(b)
+
+    def test_fault_mid_batch_indexes_earlier_entries(self, store):
+        from repro import faults
+        from repro.faults import InjectedIOError
+
+        keys = list(_BATCH)
+        failing = _entry_path(store, keys[3]).name
+
+        class FailOneEntry(faults.FaultPlan):
+            def inject(self, site, key, kinds=("transient", "slow")):
+                if site == "io.write" and key.endswith(failing):
+                    raise InjectedIOError(f"injected I/O fault at {site}[{key}]")
+
+        faults.install(FailOneEntry(seed=0))
+        try:
+            with pytest.raises(InjectedIOError):
+                store.put_many(_BATCH)
+        finally:
+            faults.disable()
+
+        indexed = set(_index(store)["entries"])
+        written = {_entry_path(store, key).name[: -len(".json")] for key in keys[:3]}
+        assert indexed == written
+        assert not list(store.root.rglob("*.tmp"))
+        for key in keys[:3]:
+            assert store.get(key) == _BATCH[key]
+        assert store.get(keys[3]) is None
+
+    def test_batch_over_cap_never_evicts_a_leased_entry(self, tmp_path):
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(("probe", 0), "x" * 64)
+        size = probe.stats()["bytes"]
+        store = ResultStore(tmp_path / "store", max_bytes=2 * size + size // 2)
+        store.put(("probe", 1), "a" * 64)  # oldest, but claimed below
+        store.try_lease(("probe", 1))
+        try:
+            store.put_many({("probe", i): ch * 64 for i, ch in ((2, "b"), (3, "c"), (4, "d"))})
+            assert store.get(("probe", 1)) == "a" * 64  # protected
+            assert store.get(("probe", 2)) is None  # LRU unleased entries went
+            assert store.get(("probe", 3)) is None
+            assert store.get(("probe", 4)) == "d" * 64
+        finally:
+            store.release_lease(("probe", 1))
+
+
 class TestStoreFromEnv:
     def test_absent_means_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
