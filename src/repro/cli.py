@@ -56,8 +56,25 @@ from collections.abc import Sequence
 __all__ = ["main", "build_parser"]
 
 
+class _ReproParser(argparse.ArgumentParser):
+    """The top-level parser; fills in the ``lint`` summary on demand.
+
+    :func:`_lint_help` imports every lint rule, so it runs only when the
+    command list is actually formatted (``repro --help``), never on the
+    way to ``repro table N``.
+    """
+
+    def format_help(self) -> str:
+        for action in self._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for choice in action._choices_actions:
+                    if choice.dest == "lint" and choice.help is None:
+                        choice.help = _lint_help()
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ReproParser(
         prog="repro",
         description=(
             "Reproduction of 'Is RISC-V ready for HPC? An evaluation of "
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every gated delta, not just regressions/improvements",
     )
 
-    p = sub.add_parser("lint", help=_lint_help())
+    p = sub.add_parser("lint", help=None)  # filled in by _ReproParser
     p.add_argument(
         "paths",
         nargs="*",

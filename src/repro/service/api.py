@@ -19,7 +19,9 @@ per-job sample budget is 413, an unknown job is 404, a full queue is
 429, and any unexpected handler failure is a 500 that names the
 exception instead of a closed socket.  Every response is written in one
 segment on a ``TCP_NODELAY`` socket, so keep-alive clients never wait on
-a delayed ACK.
+a delayed ACK, and every POST body is read (or the connection closed)
+even on routes that ignore it, so no leftover byte is parsed as the next
+request.
 The server itself holds no job state -- everything lives in the
 :class:`~repro.service.jobs.JobManager`, so a server restart in front
 of journal-backed jobs loses nothing but the in-memory lifecycle table.
@@ -129,8 +131,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
-    def _read_body(self) -> dict:
-        """The POST body as JSON, bounded before a byte of it is read.
+    def _read_raw_body(self) -> bytes:
+        """The POST body's bytes, bounded before a byte of it is read.
 
         A malformed ``Content-Length`` is a 400 and one over
         :data:`MAX_BODY_BYTES` a 413; either way the body stays unread,
@@ -153,13 +155,28 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the limit of "
                 f"{MAX_BODY_BYTES} bytes"
             )
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_body(self) -> dict:
+        """The POST body as JSON (see :meth:`_read_raw_body` for bounds)."""
+        raw = self._read_raw_body()
         if not raw:
             raise RequestError("empty request body (expected a JSON object)")
         try:
             return json.loads(raw)
         except ValueError:
             raise RequestError("request body is not valid JSON") from None
+
+    def _discard_body(self) -> None:
+        """Consume a body the route ignores, keeping keep-alive in step.
+
+        A body that cannot be drained within bounds is left unread and
+        the connection closes after the reply.
+        """
+        try:
+            self._read_raw_body()
+        except (RequestError, _BodyTooLarge):
+            pass
 
     # ------------------------------------------------------------------
     # Routing
@@ -207,7 +224,9 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         if url.path == API_PREFIX:
             self._post_job()
-        elif (
+            return
+        self._discard_body()  # the other routes ignore it
+        if (
             len(parts) == 5
             and url.path.startswith(API_PREFIX + "/")
             and parts[4] == "cancel"

@@ -4,7 +4,8 @@ Layout (everything under one root directory)::
 
     <root>/objects/<digest>.json   one entry per key (atomic writes)
     <root>/leases/<digest>.lease   O_EXCL cross-process execution claims
-    <root>/index.json              advisory LRU index (sizes + recency)
+    <root>/index.log               advisory LRU index: append-only
+                                   ``<digest> <size>`` lines, oldest first
 
 ``<digest>`` is the sha256 of the canonical JSON encoding of the key
 tuple, so the mapping from key to path is a pure function -- any process
@@ -25,15 +26,26 @@ processes, writers race benignly -- both write byte-identical content
 for the same key -- and :meth:`try_lease` gives callers that need
 at-most-once *execution* an O_EXCL claim.  Recency is advisory: each
 process tracks what it touched; the persisted index is a hint rebuilt
-from the objects directory whenever it is missing or stale.  It is
-rewritten once per :meth:`ResultStore.put_many` batch, not once per
-entry, so index bytes written grow with batches rather than
-quadratically with entries.
+from the objects directory whenever it is missing or stale.
 
-No wall clock anywhere: recency is a monotonic per-instance sequence
-number and lease waits are attempt-counted by the caller, keeping every
-store-backed run deterministic enough for the repo's telemetry
-contracts (lint rules R001/R006).
+The index costs its batch, not the store.  In memory it is one
+insertion-ordered ``digest -> size`` map, oldest first (a touch moves
+the digest to the end), plus a running byte total, so a touch, a put
+and :meth:`ResultStore.stats` are O(1) and eviction walks from the old
+end.  On disk, each :meth:`ResultStore.put_many` appends one line per
+entry written or touched since the previous append, in one ``O_APPEND``
+write.  Loading replays the log (later lines win; malformed or torn
+lines are skipped) and then reconciles against the objects directory,
+which stays the source of truth.  Once the log holds more than
+``_COMPACT_RATIO`` lines per live entry it is rewritten compacted
+through :func:`write_text_atomic`.  A store written before the log
+existed (``index.json``) is rebuilt from its objects directory and the
+stale snapshot is removed on its first write.
+
+No wall clock anywhere: recency is insertion order and lease waits are
+attempt-counted by the caller, keeping every store-backed run
+deterministic enough for the repo's telemetry contracts (lint rules
+R001/R006).
 """
 
 from __future__ import annotations
@@ -57,7 +69,11 @@ STORE_VERSION = 1
 
 _OBJECTS_DIR = "objects"
 _LEASES_DIR = "leases"
-_INDEX_NAME = "index.json"
+_INDEX_NAME = "index.log"
+#: The whole-store JSON snapshot the log replaced; removed on first compaction.
+_LEGACY_INDEX_NAME = "index.json"
+#: Compact the log once it holds more than this many lines per live entry.
+_COMPACT_RATIO = 2
 
 
 def _canonical_key(key: tuple) -> str:
@@ -81,6 +97,23 @@ def _decode(payload: dict):
             raise ValueError("text payload must be a string")
         return text
     return decode_value(payload)
+
+
+def _index_lines(entries) -> str:
+    return "".join(f"{digest} {size}\n" for digest, size in entries)
+
+
+def _append_text(path: Path, text: str) -> None:
+    """Append ``text`` to ``path`` in one ``O_APPEND`` write.
+
+    A crash mid-write can leave at most a torn last line, which the
+    loader skips.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, text.encode("utf-8"))
+    finally:
+        os.close(fd)
 
 
 class ResultStore:
@@ -122,9 +155,16 @@ class ResultStore:
         self._leases = self.root / _LEASES_DIR
         self._index_path = self.root / _INDEX_NAME
         self._lock = threading.Lock()
-        #: digest -> {"size": int, "seq": int}; None until first use.
-        self._entries: dict[str, dict] | None = None
-        self._seq = 0
+        #: digest -> size, least recently used first; None until first use.
+        self._entries: dict[str, int] | None = None
+        self._total = 0
+        #: Digests touched since the last log append, in recency order.
+        self._dirty: dict[str, None] = {}
+        #: Lines in ``index.log`` (the compaction trigger), and whether
+        #: the next flush must rewrite it whole (missing or torn log, or
+        #: entries the log does not match).
+        self._log_lines = 0
+        self._compact_next = False
 
     # ------------------------------------------------------------------
     # Reads
@@ -201,8 +241,8 @@ class ResultStore:
         """Publish a ``key -> value`` map: one entry file each, one index write.
 
         Each entry file is written atomically on its own; the lock is
-        then taken once to record them all, evict once and rewrite
-        ``index.json`` once.  If an entry write raises, the entries
+        then taken once to record them all, evict once and append to
+        ``index.log`` once.  If an entry write raises, the entries
         already written are still indexed before the exception
         propagates.
         """
@@ -219,7 +259,7 @@ class ResultStore:
                     for digest, size in written:
                         self._touch_locked(digest, size=size)
                     self._evict_locked()
-                    self._write_index_locked()
+                    self._flush_index_locked()
 
     def _write_entry(self, key: tuple, value) -> tuple[str, int]:
         """Write one entry file; returns its ``(digest, size)``."""
@@ -243,25 +283,29 @@ class ResultStore:
         return digest, len(entry_text)
 
     def _evict_locked(self) -> None:
-        if self.max_bytes is None:
+        """Drop least-recently-used unleased entries until under the cap.
+
+        Walks from the old end and stops as soon as enough is freed, so
+        a capped batch costs the entries it evicts (plus any leased
+        ones it skips), not the whole store.
+        """
+        if self.max_bytes is None or self._total <= self.max_bytes:
             return
-        total = sum(meta["size"] for meta in self._entries.values())
-        if total <= self.max_bytes:
-            return
-        by_recency = sorted(
-            self._entries.items(), key=lambda item: (item[1]["seq"], item[0])
-        )
-        for digest, meta in by_recency:
-            if total <= self.max_bytes:
+        excess = self._total - self.max_bytes
+        victims = []
+        for digest, size in self._entries.items():
+            if excess <= 0:
                 break
             if (self._leases / f"{digest}.lease").exists():
                 continue  # never evict under an active lease
+            victims.append(digest)
+            excess -= size
+        for digest in victims:
             try:
                 os.unlink(self._objects / f"{digest}.json")
             except OSError:
                 pass
-            total -= meta["size"]
-            del self._entries[digest]
+            self._forget_locked(digest)
             obs.incr("store.evictions")
 
     # ------------------------------------------------------------------
@@ -312,32 +356,38 @@ class ResultStore:
     # Advisory index (sizes + recency)
     # ------------------------------------------------------------------
 
+    def _load_index(self) -> dict[str, int]:
+        """Replay the persisted index: ``digest -> size``, oldest first.
+
+        Later log lines win, so a digest lands at its last recorded
+        position.  Malformed lines are skipped; a torn final line (no
+        newline) is never a record and makes the next flush compact.
+        """
+        entries: dict[str, int] = {}
+        try:
+            text = self._index_path.read_text(encoding="utf-8")
+        except (OSError, ValueError):
+            self._compact_next = True  # no readable log: the next flush writes one
+            return entries
+        lines = text.split("\n")
+        torn = lines.pop()  # "" after a complete last line
+        self._log_lines = len(lines)
+        self._compact_next = bool(torn)
+        for line in lines:
+            digest, _, size = line.partition(" ")
+            if len(digest) == 64 and size.isascii() and size.isdigit():
+                entries.pop(digest, None)
+                entries[digest] = int(size)
+        return entries
+
     def _ensure_index_locked(self) -> None:
         if self._entries is not None:
             return
-        self._entries = {}
-        try:
-            data = json.loads(self._index_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError, ValueError):
-            data = None
-        if (
-            isinstance(data, dict)
-            and data.get("version") == STORE_VERSION
-            and isinstance(data.get("entries"), dict)
-        ):
-            for digest, meta in data["entries"].items():
-                if (
-                    isinstance(meta, dict)
-                    and isinstance(meta.get("size"), int)
-                    and isinstance(meta.get("seq"), int)
-                ):
-                    self._entries[digest] = {"size": meta["size"], "seq": meta["seq"]}
-            self._seq = max(
-                (meta["seq"] for meta in self._entries.values()), default=0
-            )
-        # Reconcile against the objects directory (sorted: deterministic
-        # seq assignment): entries another process wrote join the index,
-        # entries that vanished leave it.
+        entries = self._load_index()
+        # Reconcile against the objects directory, the source of truth:
+        # entries another process wrote join the index at the recent end
+        # (sorted, so the order is deterministic), entries that vanished
+        # leave it, and every size comes from the file itself.
         on_disk = {}
         try:
             names = sorted(os.listdir(self._objects))
@@ -349,41 +399,63 @@ class ResultStore:
                     on_disk[name[:-5]] = (self._objects / name).stat().st_size
                 except OSError:
                     continue
-        for digest in list(self._entries):
-            if digest not in on_disk:
-                del self._entries[digest]
+        self._entries = {
+            digest: on_disk[digest] for digest in entries if digest in on_disk
+        }
         for digest, size in on_disk.items():
-            if digest not in self._entries:
-                self._seq += 1
-                self._entries[digest] = {"size": size, "seq": self._seq}
-            else:
-                self._entries[digest]["size"] = size
+            self._entries.setdefault(digest, size)
+        if self._entries != entries:
+            self._compact_next = True
+        self._total = sum(self._entries.values())
 
     def _touch_locked(self, digest: str, size: int | None = None) -> None:
         self._ensure_index_locked()
-        self._seq += 1
-        meta = self._entries.get(digest)
-        if meta is None:
-            if size is None:
-                try:
-                    size = (self._objects / f"{digest}.json").stat().st_size
-                except OSError:
-                    return  # raced with an eviction/unlink; nothing to track
-            self._entries[digest] = {"size": size, "seq": self._seq}
-            return
-        meta["seq"] = self._seq
-        if size is not None:
-            meta["size"] = size
+        old = self._entries.pop(digest, None)
+        if size is None:
+            size = old
+        if size is None:
+            try:
+                size = (self._objects / f"{digest}.json").stat().st_size
+            except OSError:
+                return  # raced with an eviction/unlink; nothing to track
+        self._entries[digest] = size
+        self._total += size - (old or 0)
+        self._dirty.pop(digest, None)
+        self._dirty[digest] = None
 
     def _forget_locked(self, digest: str) -> None:
         if self._entries is not None:
-            self._entries.pop(digest, None)
+            self._total -= self._entries.pop(digest, 0)
+        self._dirty.pop(digest, None)
 
-    def _write_index_locked(self) -> None:
-        snapshot = json.dumps(
-            {"version": STORE_VERSION, "entries": self._entries}, sort_keys=True
-        )
-        write_text_atomic(self._index_path, snapshot + "\n")
+    def _flush_index_locked(self) -> None:
+        """Append the touched entries to ``index.log`` (one write).
+
+        Compacts instead when the log would outgrow
+        ``_COMPACT_RATIO`` lines per live entry, or when loading found
+        it missing, torn or out of step with the objects directory.
+        """
+        if not self._dirty and not self._compact_next:
+            return
+        if (
+            self._compact_next
+            or self._log_lines + len(self._dirty)
+            > _COMPACT_RATIO * len(self._entries)
+        ):
+            write_text_atomic(self._index_path, _index_lines(self._entries.items()))
+            self._log_lines = len(self._entries)
+            self._compact_next = False
+            try:
+                os.unlink(self.root / _LEGACY_INDEX_NAME)
+            except OSError:
+                pass
+        else:
+            _append_text(
+                self._index_path,
+                _index_lines((d, self._entries[d]) for d in self._dirty),
+            )
+            self._log_lines += len(self._dirty)
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -393,7 +465,7 @@ class ResultStore:
         """Static shape for /health and ``repro stats``: size and bounds."""
         with self._lock:
             self._ensure_index_locked()
-            total = sum(meta["size"] for meta in self._entries.values())
+            total = self._total
             entries = len(self._entries)
         try:
             leases = sum(
@@ -428,7 +500,10 @@ class ResultStore:
             except OSError:
                 pass
             self._entries = {}
-            self._seq = 0
+            self._total = 0
+            self._dirty.clear()
+            self._log_lines = 0
+            self._compact_next = False
 
 
 def store_from_env() -> ResultStore | None:

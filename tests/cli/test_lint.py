@@ -106,3 +106,35 @@ class TestLintHelp:
         assert listed == registered_codes()
         assert "R013" in listed  # the newest rule is covered
         assert "R008" not in listed and "R011" not in listed  # retired codes
+
+    def test_top_level_help_lists_the_lint_rules(self, capsys):
+        from repro.cli import _lint_help, main
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert " ".join(_lint_help().split()) in help_text
+
+    def test_table_command_never_imports_the_lint_engine(self):
+        """A fresh interpreter: this one imported the rules long ago."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['table', '4', '--csv']) == 0\n"
+            "assert 'repro.analysis' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('repro.analysis')\n"
+            ")\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

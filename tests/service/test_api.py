@@ -330,6 +330,28 @@ class TestTransport:
         finally:
             conn.close()
 
+    def test_ignored_post_bodies_do_not_desync_keepalive(self, live_server):
+        """Routes that ignore their body still consume it, so the next
+        request on the connection is parsed from its own first byte."""
+        job_id, _ = _submit_and_finish(live_server)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server.server_port, timeout=30
+        )
+        try:
+            status, body = _call(
+                conn, "POST", f"/api/v1/jobs/{job_id}/cancel", {"reason": "x" * 64}
+            )
+            assert status == 200 and json.loads(body)["cancelled"] is False
+            status, body = _call(conn, "GET", f"/api/v1/jobs/{job_id}")
+            assert status == 200 and json.loads(body)["job_id"] == job_id
+
+            status, _ = _call(conn, "POST", "/api/v2/nowhere", {"junk": [1, 2, 3]})
+            assert status == 404
+            status, body = _call(conn, "GET", "/health")
+            assert status == 200 and json.loads(body)["status"] == "ok"
+        finally:
+            conn.close()
+
 
 class TestQueuedJobsOverHTTP:
     """Paths that need jobs to *stay* queued use a workers=0 manager."""

@@ -215,14 +215,16 @@ class TestIndex:
     def test_rebuilt_after_index_loss(self, store, tmp_path):
         store.put(("a",), "1")
         store.put(("b",), "2")
-        (tmp_path / "store" / "index.json").unlink()
+        (tmp_path / "store" / "index.log").unlink()
         fresh = ResultStore(tmp_path / "store")
         assert fresh.stats()["entries"] == 2
         assert fresh.get(("a",)) == "1"
+        fresh.put(("c",), "3")  # the rebuilt index is persisted whole
+        assert len(_index(fresh)) == 3
 
     def test_corrupt_index_is_rebuilt(self, store, tmp_path):
         store.put(("a",), "1")
-        (tmp_path / "store" / "index.json").write_text("{broken")
+        (tmp_path / "store" / "index.log").write_text("{broken")
         fresh = ResultStore(tmp_path / "store")
         assert fresh.stats()["entries"] == 1
 
@@ -254,7 +256,31 @@ class TestIndex:
 
 
 def _index(store) -> dict:
-    return json.loads((store.root / "index.json").read_text())
+    """The persisted index, ``digest -> size`` oldest first, as a fresh
+    :class:`ResultStore` on the same root replays it (before reconciling
+    with the objects directory, so an unindexed entry stays absent)."""
+    return ResultStore(store.root)._load_index()
+
+
+def _digest(store, key) -> str:
+    return _entry_path(store, key).name[: -len(".json")]
+
+
+def _spy_index_writes(monkeypatch) -> list[tuple[str, str]]:
+    """Record ``(file name, text)`` for every write the store makes,
+    whether through the atomic writer or the index log's append."""
+    from repro.store import store as store_module
+
+    writes = []
+    for name in ("write_text_atomic", "_append_text"):
+        real = getattr(store_module, name)
+
+        def spy(path, text, *args, _real=real, **kwargs):
+            writes.append((path.name, text))
+            return _real(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, name, spy)
+    return writes
 
 
 def _objects(store) -> dict:
@@ -268,18 +294,10 @@ class TestPutMany:
     """One batch: every entry file as a lone put writes it, one index write."""
 
     def test_writes_index_once(self, store, monkeypatch):
-        from repro.store import store as store_module
-
-        paths = []
-        real = store_module.write_text_atomic
-
-        def spy(path, text, *args, **kwargs):
-            paths.append(path.name)
-            return real(path, text, *args, **kwargs)
-
-        monkeypatch.setattr(store_module, "write_text_atomic", spy)
+        writes = _spy_index_writes(monkeypatch)
         store.put_many(_BATCH)
-        assert paths.count("index.json") == 1
+        paths = [name for name, _ in writes]
+        assert paths.count("index.log") == 1
         assert len(paths) == len(_BATCH) + 1
 
     def test_matches_sequential_puts(self, tmp_path):
@@ -292,13 +310,9 @@ class TestPutMany:
             sequential.put(key, value)
 
         assert _objects(batched) == _objects(sequential)  # byte-identical
-        a, b = _index(batched)["entries"], _index(sequential)["entries"]
-        assert {d: m["size"] for d, m in a.items()} == {d: m["size"] for d, m in b.items()}
-
-        def seq_order(entries):
-            return sorted(entries, key=lambda digest: entries[digest]["seq"])
-
-        assert seq_order(a) == seq_order(b)
+        a, b = _index(batched), _index(sequential)
+        assert a == b  # the same sizes
+        assert list(a) == list(b)  # in the same recency order
 
     def test_fault_mid_batch_indexes_earlier_entries(self, store):
         from repro import faults
@@ -319,8 +333,8 @@ class TestPutMany:
         finally:
             faults.disable()
 
-        indexed = set(_index(store)["entries"])
-        written = {_entry_path(store, key).name[: -len(".json")] for key in keys[:3]}
+        indexed = set(_index(store))
+        written = {_digest(store, key) for key in keys[:3]}
         assert indexed == written
         assert not list(store.root.rglob("*.tmp"))
         for key in keys[:3]:
@@ -342,6 +356,132 @@ class TestPutMany:
             assert store.get(("probe", 4)) == "d" * 64
         finally:
             store.release_lease(("probe", 1))
+
+
+class TestIndexLog:
+    """The index costs its batch: one appended line per touched entry."""
+
+    def _filled(self, root, n):
+        store = ResultStore(root)
+        store.put_many({("fill", i): f"{i}" for i in range(n)})
+        return store
+
+    def test_batch_index_bytes_do_not_grow_with_the_store(self, tmp_path, monkeypatch):
+        small = self._filled(tmp_path / "small", 10)
+        large = self._filled(tmp_path / "large", 2_000)
+        batch = {("batch", i): f"value {i}\n" for i in range(5)}
+        writes = _spy_index_writes(monkeypatch)
+
+        def index_bytes(store):
+            del writes[:]
+            store.put_many(batch)
+            return sum(len(text) for name, text in writes if name == "index.log")
+
+        assert index_bytes(small) == index_bytes(large) == 5 * len(
+            f"{_digest(small, ('batch', 0))} {len(_entry_path(small, ('batch', 0)).read_text())}\n"
+        )
+
+    def test_lru_order_survives_a_restart(self, tmp_path):
+        first = ResultStore(tmp_path / "store")
+        for i in range(1, 5):
+            first.put(("probe", i), "x" * 64)
+        assert first.get(("probe", 1)) == "x" * 64  # 1 is now the newest
+        first.put(("probe", 5), "x" * 64)  # the batch persists that touch
+        size = first.stats()["bytes"] // 5
+
+        capped = ResultStore(tmp_path / "store", max_bytes=5 * size + size // 2)
+        capped.put(("probe", 6), "x" * 64)
+        assert capped.get(("probe", 2)) is None  # the previous instance's LRU
+        for i in (1, 3, 4, 5, 6):
+            assert capped.get(("probe", i)) == "x" * 64
+
+    def test_torn_last_line_is_ignored(self, store):
+        store.put(("a",), "1")
+        store.put(("b",), "2")
+        expected = _index(store)
+        assert list(expected) == [_digest(store, ("a",)), _digest(store, ("b",))]
+        with open(store.root / "index.log", "a") as log:
+            log.write(f"{_digest(store, ('a',))} 1")  # torn: no newline
+
+        fresh = ResultStore(store.root)
+        assert _index(fresh) == expected and list(_index(fresh)) == list(expected)
+        assert fresh.stats()["entries"] == 2
+        fresh.put(("c",), "3")  # the next flush rewrites the torn tail away
+        assert (store.root / "index.log").read_text().endswith("\n")
+        assert list(_index(fresh)) == list(expected) + [_digest(store, ("c",))]
+
+    def test_parent_format_store_opens_with_every_entry(self, store):
+        keys = [("legacy", i) for i in range(4)]
+        for key in keys:
+            store.put(key, f"value {key[1]}")
+        total = store.stats()["bytes"]
+        # Rewrite the index as the pre-log format did: one JSON snapshot.
+        sizes = _index(store)
+        (store.root / "index.log").unlink()
+        legacy = {
+            digest: {"size": size, "seq": seq}
+            for seq, (digest, size) in enumerate(sizes.items(), 1)
+        }
+        (store.root / "index.json").write_text(
+            json.dumps({"version": STORE_VERSION, "entries": legacy}, sort_keys=True)
+        )
+
+        fresh = ResultStore(store.root)
+        assert fresh.stats()["entries"] == 4 and fresh.stats()["bytes"] == total
+        for key in keys:
+            assert fresh.get(key) == f"value {key[1]}"
+        fresh.put(("new",), "n")  # the first write leaves one index file
+        assert not (store.root / "index.json").exists()
+        assert len(_index(fresh)) == 5
+
+    def test_threads_keep_the_running_total_exact(self, tmp_path):
+        """8 threads putting, reading and evicting through one instance:
+        a lost update to the running byte total would break the match
+        with the files on disk."""
+        import sys
+        import threading
+
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(("t", 0, 0), "x" * 32)
+        size = probe.stats()["bytes"]
+        store = ResultStore(tmp_path / "store", max_bytes=40 * size)
+        errors = []
+
+        def worker(t):
+            try:
+                for r in range(15):
+                    store.put_many({("t", t, r, i): "x" * 32 for i in range(3)})
+                    store.get(("t", t, r, 0))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+
+        on_disk = sorted(store._objects.iterdir())
+        stats = store.stats()
+        assert stats["entries"] == len(on_disk)
+        assert stats["bytes"] == sum(path.stat().st_size for path in on_disk)
+        assert stats["bytes"] <= store.max_bytes
+        assert ResultStore(store.root, max_bytes=store.max_bytes).stats() == stats
+
+    def test_log_is_compacted_once_mostly_stale(self, store):
+        store.put_many({("k", i): str(i) for i in range(4)})
+        for _ in range(20):
+            store.get(("k", 0))
+            store.put(("k", 1), "1")
+        lines = (store.root / "index.log").read_text().splitlines()
+        assert len(lines) <= 2 * 4
+        assert list(_index(store))[-2:] == [_digest(store, ("k", 0)), _digest(store, ("k", 1))]
 
 
 class TestStoreFromEnv:
