@@ -61,8 +61,8 @@ bench-grid:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable -k "planner"
 
 # Store benches: put/get throughput, engine warm restart, and the
-# service kill-and-restart + campaign speedup drills (>= 10x warm,
-# <= 0.5x parallel wall clock, byte-identical artifacts throughout).
+# service kill-and-restart + campaign restart drills (>= 10x warm,
+# byte-identical artifacts throughout).
 bench-store:
 	$(PYTHON) -m pytest benchmarks/bench_store.py benchmarks/bench_service.py -q --benchmark-disable
 

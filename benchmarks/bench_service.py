@@ -13,12 +13,10 @@ urllib round trip (connect, request, JSON, response) against a live
   submission DONE-from-store without executing a single config, with
   the artifact byte-identical to the cold run's;
 * **campaigns** -- a store-backed campaign rerun must be >= 10x faster
-  than cold with byte-identical artifacts, and a scenario of
-  independent jobs under ``jobs=4`` must finish in <= 0.5x the
-  sequential wall clock.
+  than cold with byte-identical artifacts.
 
 Reported per run (into the schema-v1 bench artifact): p50/p95
-latencies, dedup/store hit counters, and the campaign speedup ratios.
+latencies, dedup/store hit counters, and the campaign restart speedup.
 """
 
 import http.client
@@ -26,7 +24,7 @@ import json
 import threading
 import urllib.request
 
-from repro import faults, obs
+from repro import obs
 from repro.core.sweep import SweepEngine
 from repro.service import JobManager, create_server, load_scenario, run_campaign
 from repro.store import ResultStore
@@ -69,7 +67,7 @@ def _percentile(samples_s, q):
 
 def test_warm_duplicate_latency(benchmark, bench_artifact):
     recorder = obs.install()
-    manager = JobManager(engine=SweepEngine(jobs=2), workers=2, queue_size=32)
+    manager = JobManager(engine=SweepEngine(), workers=2, queue_size=32)
     server = create_server("127.0.0.1", 0, manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -177,7 +175,7 @@ def test_warm_keepalive_roundtrip(benchmark, bench_artifact):
     does, and records its p50/p95 for the gate.
     """
     recorder = obs.install()
-    manager, server, thread, _ = _serve(SweepEngine(jobs=2))
+    manager, server, thread, _ = _serve(SweepEngine())
     conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=30)
 
     def round_trip():
@@ -237,7 +235,7 @@ def test_warm_restart_http(benchmark, bench_artifact, tmp_path):
 
     # Phase 1: cold service -- one real execution, artifact captured.
     obs.install()
-    manager, server, thread, base = _serve(SweepEngine(jobs=2, store=store))
+    manager, server, thread, base = _serve(SweepEngine(store=store))
     try:
         status, body = http_post_json(base + "/api/v1/jobs", _PAYLOAD)
         assert status == 202 and not body["deduplicated"]
@@ -252,7 +250,7 @@ def test_warm_restart_http(benchmark, bench_artifact, tmp_path):
 
     # The kill: nothing survives but the store directory on disk.
     recorder = obs.install()
-    manager, server, thread, base = _serve(SweepEngine(jobs=2, store=store))
+    manager, server, thread, base = _serve(SweepEngine(store=store))
     try:
         submit_s, fetch_s = [], []
         for i in range(_RESTART_WARM_REQUESTS):
@@ -349,7 +347,7 @@ def test_restart_warm_campaign_speedup(
         i = len(cold_dirs)
         cold_dirs.append(i)
         store = ResultStore(tmp_path / f"cold-store-{i}")
-        return SweepEngine(jobs=2, store=store), tmp_path / f"cold-out-{i}"
+        return SweepEngine(store=store), tmp_path / f"cold-out-{i}"
 
     def cold_run(setup):
         engine, out = setup
@@ -358,11 +356,11 @@ def test_restart_warm_campaign_speedup(
 
     warm_store = ResultStore(tmp_path / "warm-store")
     run_campaign(
-        scenario, tmp_path / "seed-out", engine=SweepEngine(jobs=2, store=warm_store)
+        scenario, tmp_path / "seed-out", engine=SweepEngine(store=warm_store)
     )
 
     def warm_run():
-        engine = SweepEngine(jobs=2, store=warm_store)
+        engine = SweepEngine(store=warm_store)
         out = tmp_path / "warm-out"
         run_campaign(scenario, out, engine=engine)
         return out
@@ -399,109 +397,5 @@ def test_restart_warm_campaign_speedup(
         jobs=len(scenario.jobs),
         cold_s=best["cold"],
         warm_s=best["warm"],
-        speedup=speedup,
-    )
-
-
-_PARALLEL_SCENARIO = """\
-name: parallel-bench
-jobs:
-  - name: j-is
-    kind: sweep
-    machines: [sg2044]
-    kernels: [is]
-    threads: [1, 2]
-  - name: j-ep
-    kind: sweep
-    machines: [sg2044]
-    kernels: [ep]
-    threads: [1, 2]
-  - name: j-mg
-    kind: sweep
-    machines: [sg2044]
-    kernels: [mg]
-    threads: [1, 2]
-  - name: j-cg
-    kind: sweep
-    machines: [sg2044]
-    kernels: [cg]
-    threads: [1, 2]
-"""
-
-_SLOW_DELAY_S = 0.25
-
-
-def test_parallel_campaign_speedup(
-    benchmark, bench_artifact, escalate_until, time_best_of, tmp_path
-):
-    """Independent scenario jobs under ``jobs=4`` beat sequential by 2x.
-
-    Each campaign job carries a deterministic injected 0.25 s slow fault
-    at its ``campaign.job`` probe (fresh plan per measured run, so the
-    per-key failure cap never starves a rep); the engine memo is
-    prewarmed so the schedule's shape -- not model execution -- is what
-    is measured.  Four independent sleeps sequentially cost ~1 s; the
-    dependency-aware scheduler overlaps them.
-    """
-    scenario_path = tmp_path / "scenario.yaml"
-    scenario_path.write_text(_PARALLEL_SCENARIO, encoding="utf-8")
-    scenario = load_scenario(scenario_path)
-    engine = SweepEngine(jobs=4)
-    run_campaign(scenario, tmp_path / "prewarm", engine=engine)  # fill the memo
-
-    def fresh_plan():
-        faults.install(
-            faults.FaultPlan(
-                seed=2044, slow_rate=1.0, transient_rate=0.0,
-                slow_delay_s=_SLOW_DELAY_S,
-            )
-        )
-
-    def run_with(jobs, out_name):
-        return run_campaign(
-            scenario, tmp_path / out_name, engine=engine, jobs=jobs
-        )
-
-    best = {}
-
-    def measure():
-        try:
-            seq_s, _ = time_best_of(
-                "campaign.seq", lambda _s: run_with(1, "seq-out"), 1,
-                setup=fresh_plan,
-            )
-            par_s, _ = time_best_of(
-                "campaign.par", lambda _s: run_with(4, "par-out"), 1,
-                setup=fresh_plan,
-            )
-        finally:
-            faults.disable()
-        best["seq"] = min(best.get("seq", seq_s), seq_s)
-        best["par"] = min(best.get("par", par_s), par_s)
-
-    measure()
-    escalate_until(
-        lambda: best["seq"] / best["par"], measure, margin=2.0, max_rounds=3
-    )
-    speedup = best["seq"] / best["par"]
-
-    assert _campaign_outputs(tmp_path / "par-out") == _campaign_outputs(
-        tmp_path / "seq-out"
-    )
-    assert speedup >= 2.0, (
-        f"parallel campaign only {speedup:.2f}x over sequential "
-        f"(seq {best['seq']:.3f}s, par {best['par']:.3f}s; "
-        f"floor is 2x = parallel <= 0.5x sequential wall clock)"
-    )
-
-    benchmark(lambda: run_with(4, "par-out"))
-    benchmark.extra_info["parallel_speedup"] = round(speedup, 2)
-    bench_artifact(
-        "service.campaign_parallel",
-        jobs=len(scenario.jobs),
-        workers=4,
-        slow_delay_s=_SLOW_DELAY_S,
-        sequential_s=best["seq"],
-        parallel_s=best["par"],
         speedup=speedup,
     )

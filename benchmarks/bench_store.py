@@ -95,7 +95,7 @@ def test_engine_warm_restart(benchmark, bench_artifact, time_best_of, tmp_path):
         ("sg2042", "sg2044"), ("is", "ep", "mg", "cg"), thread_counts=(1, 4, 16)
     )
     store = ResultStore(tmp_path / "store")
-    cold = SweepEngine(jobs=2, store=store).run_many(grid, on_dnr="none")
+    cold = SweepEngine(store=store).run_many(grid, on_dnr="none")
 
     recorder = obs.install()
     try:
@@ -103,7 +103,7 @@ def test_engine_warm_restart(benchmark, bench_artifact, time_best_of, tmp_path):
             "store.engine_warm_restart",
             lambda engine: engine.run_many(grid, on_dnr="none"),
             3,
-            setup=lambda: SweepEngine(jobs=2, store=store),
+            setup=lambda: SweepEngine(store=store),
         )
     finally:
         obs.disable()
@@ -113,7 +113,7 @@ def test_engine_warm_restart(benchmark, bench_artifact, time_best_of, tmp_path):
     assert counters.get("sweep.configs_executed", 0) == 0
     assert counters["store.hits"] >= len(grid)
 
-    benchmark(lambda: SweepEngine(jobs=2, store=store).run_many(grid, on_dnr="none"))
+    benchmark(lambda: SweepEngine(store=store).run_many(grid, on_dnr="none"))
     benchmark.extra_info["warm_restart_s"] = round(warm_s, 4)
     bench_artifact(
         "store.engine_warm_restart",

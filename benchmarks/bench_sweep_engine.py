@@ -46,7 +46,7 @@ def test_planner_cold_paper_regeneration(
     grid = _paper_grid()
 
     def run_cold(planner):
-        engine = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=planner)
+        engine = SweepEngine(runner=ExperimentRunner(), planner=planner)
         return engine.run_many(grid, on_dnr="none")
 
     results = benchmark(lambda: run_cold(True))

@@ -2,10 +2,11 @@
 
 The process-wide caches (`_default_engine` in ``core/sweep.py``, the memo
 dicts in ``npb/cg.py`` and ``cachesim/trace.py``, the catalog's memoised
-getters) are shared by SweepEngine's worker threads.  Every write to
-module-level mutable state from function bodies must therefore sit inside
-a ``with <lock>:`` block; module import time is exempt (single-threaded
-by construction).
+getters) are shared by every thread that drives a sweep -- above all
+the service's job-manager workers and HTTP handler threads.  Every write
+to module-level mutable state from function bodies must therefore sit
+inside a ``with <lock>:`` block; module import time is exempt
+(single-threaded by construction).
 
 The rule also polices the read-only handout convention: objects returned
 by the memoising accessors (``build_trace``, ``make_matrix``) are shared

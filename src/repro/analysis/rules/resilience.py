@@ -47,7 +47,6 @@ _TAXONOMY_NAMES = {
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
 }
 
 

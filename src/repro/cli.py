@@ -31,8 +31,8 @@ Commands
 ``campaign``     fan a YAML scenario file out into sweep jobs and collect
                  artifacts (``run``), or cost-estimate it (``plan``);
                  interrupted runs resume from journal sidecars and the
-                 result store, and independent jobs (no ``needs`` edge)
-                 run concurrently under ``--jobs``
+                 result store; jobs run one at a time, each after the
+                 jobs it ``needs``
 ``bench``        run a named benchmark-suite subset, merge the schema-v2
                  artifact and append the run to ``benchmarks/history/``;
                  ``--check`` gates the run against the recorded
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = "worker threads for sweep execution (default: REPRO_JOBS or auto)"
     telemetry_help = "write a schema-v1 telemetry JSON report to PATH"
     retries_help = "transient-failure retry budget (default: REPRO_RETRIES or 2)"
     fault_seed_help = (
@@ -107,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def _sweep_flags(p) -> None:
-        p.add_argument("--jobs", type=int, default=None, help=jobs_help)
         p.add_argument("--retries", type=int, default=None, help=retries_help)
         p.add_argument("--fault-seed", type=int, default=None, help=fault_seed_help)
         p.add_argument("--fault-rate", type=float, default=0.1, help=fault_rate_help)
@@ -181,10 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fault-seed", type=int, default=2025, help=fault_seed_help)
     p.add_argument("--retries", type=int, default=None, help=retries_help)
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
 
-    p = sub.add_parser("score", help="model-vs-paper error scorecard")
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
+    sub.add_parser("score", help="model-vs-paper error scorecard")
 
     p = sub.add_parser(
         "stats",
@@ -201,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         help="report format (default: text)",
     )
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p.add_argument("--store", metavar="DIR", default=None, help=store_help)
     p.add_argument("--store-max-mb", type=int, default=None, help=store_max_help)
 
@@ -600,7 +595,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
     faults.disable()
     obs.disable()
-    baseline = SweepEngine(jobs=args.jobs).run_many(grid, on_dnr="none")
+    baseline = SweepEngine().run_many(grid, on_dnr="none")
 
     try:
         plan = faults.FaultPlan(
@@ -615,7 +610,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     faults.install(plan)
     recorder = obs.install()
     try:
-        engine = SweepEngine(jobs=args.jobs, retries=args.retries)
+        engine = SweepEngine(retries=args.retries)
         faulted = engine.run_many(grid, on_dnr="none")
     finally:
         obs.disable()
@@ -694,7 +689,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"  total: {total} configs")
         return 0
     engine = _journal_attach(args.journal) or default_engine()
-    manifest = run_campaign(scenario, args.out, engine=engine, jobs=args.jobs)
+    manifest = run_campaign(scenario, args.out, engine=engine)
     for job in manifest["jobs"]:
         print(f"wrote {args.out}/{job['artifact']} ({job['configs']} configs)")
     print(f"wrote {args.out}/MANIFEST.json")
@@ -718,12 +713,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     kind = "figure" if match.group(1) in {"figure", "fig", "f"} else "table"
     number = int(match.group(2))
 
-    from repro.core.sweep import default_engine
-
     recorder = obs.install()
-    # Surface the engine sizing this run resolved (argument, environment
-    # or default) so `repro stats` answers "how parallel was that?".
-    obs.incr("sweep.jobs_resolved", default_engine().jobs)
     try:
         if kind == "table":
             from repro.harness import build_table
@@ -892,15 +882,6 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        from repro.core.sweep import set_default_jobs
-
-        try:
-            set_default_jobs(jobs)
-        except ValueError as exc:
-            print(f"repro: error: --jobs: {exc}", file=sys.stderr)
-            return 2
     retries = getattr(args, "retries", None)
     if retries is not None and args.command != "faults":
         from repro.core.sweep import set_default_retries

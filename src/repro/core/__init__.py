@@ -19,7 +19,6 @@ from .sweep import (
     default_engine,
     expand_grid,
     paper_vectorise,
-    set_default_jobs,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "paper_vectorise",
     "parallel_efficiency",
     "percent_of",
-    "set_default_jobs",
     "speedup_curve",
     "times_faster",
 ]

@@ -1,4 +1,4 @@
-"""Batched sweep engine: grid expansion, memoisation, parallel execution.
+"""Batched sweep engine: grid expansion, memoisation, batched execution.
 
 The paper's methodology is one large cross-product sweep -- machines x
 kernels x classes x thread counts x compilers x vectorisation -- and every
@@ -9,13 +9,13 @@ turns those walks into batch jobs:
   list of :class:`ExperimentConfig`.
 * :class:`SweepEngine` executes config batches through
   :meth:`ExperimentRunner.run_many` (one vectorised model evaluation per
-  thread-sweep family), optionally across a thread pool, and memoises
-  every :class:`ExperimentResult` keyed by the exact seed/config tuple so
-  repeated regenerators hit cache.
+  thread-sweep family, or one flat megagrid pass for every cold family
+  at once), and memoises every :class:`ExperimentResult` keyed by the
+  exact seed/config tuple so repeated regenerators hit cache.
 
 Determinism: the runner keys its noise stream per config (sha256 of seed
 and config fields), so results are independent of execution order --
-parallel, serial, cached and one-at-a-time runs are byte-identical.
+planned, per-family, cached and one-at-a-time runs are byte-identical.
 
 Caching vs reproducibility: a cache hit returns the very object a cold
 run would have computed, because everything that influences a result
@@ -30,11 +30,9 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro import faults, obs
-from repro.faults import GroupTimeoutError, SweepJournal, TransientError
+from repro.faults import SweepJournal, TransientError
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
 from .perfmodel import DNRError
@@ -47,7 +45,6 @@ __all__ = [
     "paper_vectorise",
     "compute_cache_key",
     "default_engine",
-    "set_default_jobs",
     "set_default_retries",
     "set_default_store",
     "clear_caches",
@@ -141,28 +138,19 @@ def compute_cache_key(
 
 
 class SweepEngine:
-    """Memoising, optionally parallel front-end over an ExperimentRunner.
+    """Memoising, thread-safe front-end over an ExperimentRunner.
 
     Parameters
     ----------
     runner:
         The runner to execute through (a default calibrated runner when
         omitted).
-    jobs:
-        Worker threads for batch execution.  ``None`` reads the
-        ``REPRO_JOBS`` environment variable, falling back to
-        ``min(8, cpu_count)``.  ``1`` forces serial execution.
     retries:
         Retry budget for *transient* group failures
         (:class:`repro.faults.TransientError`, including injected
         faults).  ``None`` reads ``REPRO_RETRIES``, falling back to
         :data:`DEFAULT_RETRIES`.  Retries back off exponentially from
         ``backoff_s``.
-    group_timeout_s:
-        Per-group deadline for pooled execution; a group exceeding it
-        raises :class:`repro.faults.GroupTimeoutError` (fatal, never
-        silently re-run).  ``None`` (default) disables the deadline;
-        serial execution cannot be preempted and ignores it.
     journal:
         Optional :class:`repro.faults.SweepJournal`; completed families
         are persisted as they land and preloaded on attach, so an
@@ -173,8 +161,8 @@ class SweepEngine:
         ``predict_batch`` calls.  ``None`` reads ``REPRO_PLANNER``
         (default on; set ``0`` to disable).  The planner is bypassed
         automatically whenever it could not reproduce the per-family
-        path bit-for-bit (fault injection enabled, per-group timeouts,
-        subclassed runners/models).
+        path bit-for-bit (fault injection enabled, subclassed
+        runners/models).
     store:
         Optional :class:`repro.store.ResultStore` (or a path to one;
         ``None`` reads ``REPRO_STORE``).  The durable tier under the
@@ -195,11 +183,12 @@ class SweepEngine:
     group never triggers re-execution of groups that already completed,
     and its claims are released so the next caller can re-claim the key.
 
-    Concurrency: the engine is safe to hammer from many threads.  A
-    single-flight table (``_inflight``) guarantees each cache key is
-    executed at most once even when concurrent :meth:`run_many` calls
-    race on the same cold keys -- late arrivals wait on the claimant's
-    event instead of duplicating work.  Single-flight extends to
+    Concurrency: the engine executes every batch in its caller's thread
+    and is safe to hammer from many threads (the service's job-manager
+    workers share one engine).  A single-flight table (``_inflight``)
+    guarantees each cache key is executed at most once even when
+    concurrent :meth:`run_many` calls race on the same cold keys -- late
+    arrivals wait on the claimant's event instead of duplicating work.  Single-flight extends to
     **subgrid containment**: a batch whose cold keys are all contained
     in one in-flight super-sweep waits on that sweep's single completion
     event (counted by ``sweep.containment_waits``) instead of
@@ -215,23 +204,19 @@ class SweepEngine:
     def __init__(
         self,
         runner: ExperimentRunner | None = None,
-        jobs: int | None = None,
         retries: int | None = None,
         backoff_s: float = 0.02,
-        group_timeout_s: float | None = None,
         journal=None,
         planner: bool | None = None,
         store=None,
     ) -> None:
         self.runner = runner or ExperimentRunner()
-        self.jobs = self._resolve_jobs(jobs)
         self.planner = self._resolve_planner(planner)
         self.retries = self._resolve_retries(retries)
         self.store = self._resolve_store(store)
         if backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
         self.backoff_s = backoff_s
-        self.group_timeout_s = group_timeout_s
         self._sleep = time.sleep
         self._results: dict[tuple, ExperimentResult | DNRError] = {}
         self._inflight: dict[tuple, threading.Event] = {}
@@ -246,29 +231,6 @@ class SweepEngine:
         self.dnr_configs = 0
         if journal is not None:
             self.attach_journal(journal)
-
-    @staticmethod
-    def _resolve_jobs(jobs: int | None) -> int:
-        """Resolve the worker-thread count for batch execution.
-
-        Explicit requests -- the ``jobs`` argument or the ``REPRO_JOBS``
-        environment variable -- are honoured verbatim, with no upper
-        cap: an operator who asks for 32 threads gets 32.  Only the
-        *implicit* default is capped at ``min(8, cpu_count)``, because
-        model evaluation is GIL-bound numpy and threads beyond a handful
-        add scheduling overhead without throughput.  The value an engine
-        actually resolved is surfaced by ``repro stats`` through the
-        ``sweep.jobs_resolved`` counter.
-        """
-        if jobs is None:
-            env = os.environ.get("REPRO_JOBS")
-            if env is not None:
-                jobs = int(env)
-            else:
-                jobs = min(8, os.cpu_count() or 1)
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        return jobs
 
     @staticmethod
     def _resolve_planner(planner: bool | None) -> bool:
@@ -397,10 +359,10 @@ class SweepEngine:
     def add_family_hook(self, hook) -> None:
         """Register ``hook(n_configs, dnr)``, called after each family lands.
 
-        Hooks fire once per completed thread-sweep family -- planned,
-        pooled or serial -- right after its results are
-        stored and journaled, and always *outside* the engine lock, so a
-        hook may freely call back into the engine.  ``dnr`` is True when
+        Hooks fire once per completed thread-sweep family -- planned or
+        per-family -- right after its results are stored and journaled,
+        and always *outside* the engine lock, so a hook may freely call
+        back into the engine.  ``dnr`` is True when
         the family's shared outcome was a DNR verdict.  Hook exceptions
         propagate like any fatal group failure: the engine never
         swallows them.
@@ -428,13 +390,13 @@ class SweepEngine:
         configs: Sequence[ExperimentConfig],
         on_dnr: str = "raise",
     ) -> list[ExperimentResult | None]:
-        """Execute a batch, memoised and (for cold work) parallelised.
+        """Execute a batch, memoised, in the calling thread.
 
         Cold configs are grouped into thread-sweep families (identical in
-        everything but ``n_threads``) so each family is one batched model
-        evaluation; families execute on a thread pool when more than one
-        is pending and ``jobs > 1``, with a silent serial fallback if the
-        pool cannot start.  Output order always matches input order.
+        everything but ``n_threads``); the planner evaluates them all in
+        one megagrid pass, or, where it does not apply, each family is
+        one batched model evaluation.  Output order always matches input
+        order.
 
         ``on_dnr`` controls "Did Not Run" configs: ``"raise"`` propagates
         the :class:`DNRError`, ``"none"`` yields ``None`` in that slot
@@ -734,7 +696,13 @@ class SweepEngine:
                     obs.incr("store.lease_takeovers", len(claimed))
                     with self._lock:
                         self._held_leases.update(claimed)
-                    self._execute_families(claimed)
+                    # The owner publishes, then releases: an entry that
+                    # landed after the poll above is absorbed, not re-run.
+                    leased = list(claimed)
+                    self._absorb_published(claimed)
+                    self._release_leases([k for k in leased if k not in claimed])
+                    if claimed:
+                        self._execute_families(claimed)
                 if not remaining:
                     return
             self._sleep(store.poll_interval_s)
@@ -759,24 +727,22 @@ class SweepEngine:
         """Whether cold batches may route through the flat megagrid pass.
 
         The planner cannot reproduce fault-injection probes (one
-        ``faults.inject`` per family attempt) or per-group timeout
-        preemption, so either forces the per-family path.  Subclassed
-        runners/models are detected inside
+        ``faults.inject`` per family attempt), so an installed fault plan
+        forces the per-family path.  Subclassed runners/models are
+        detected inside
         :func:`repro.core.plan.plan_groups` itself, which refuses with
         :class:`PlanNotApplicable` before doing any work.
         """
-        return (
-            self.planner
-            and self.group_timeout_s is None
-            and not faults.is_enabled()
-        )
+        return self.planner and not faults.is_enabled()
 
     def _execute_groups(self, groups: list[list[ExperimentConfig]]) -> None:
-        # Group spans are opened here, in the submitting thread, so the
-        # span tree's shape is identical for serial and parallel runs.
-        # Handles whose group never executes (pool startup failure, a
-        # fatal sibling) are abandoned in the finally, so the tree stays
-        # a pure function of the work actually performed.
+        """Execute families: one planned pass, else one family at a time.
+
+        Every family's span is opened up front, so the span tree has the
+        same shape on both paths.  Handles whose family never executes
+        (a fatal earlier family) are abandoned in the ``finally``, so the
+        tree stays a pure function of the work actually performed.
+        """
         handles = [
             obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
             for group in groups
@@ -786,16 +752,9 @@ class SweepEngine:
             if self._planner_applicable():
                 if self._execute_groups_planned(groups, handles, executed):
                     return
-            if self.jobs > 1 and len(groups) > 1:
-                if self._execute_groups_pooled(groups, handles, executed):
-                    return
-            # Serial path: fresh groups, plus any the pool could not take
-            # because *startup* failed.  Groups that already ran (or are
-            # running) on the pool are never re-executed here.
             for i, (group, handle) in enumerate(zip(groups, handles)):
-                if not executed[i]:
-                    executed[i] = True
-                    self._execute_group(group, handle)
+                executed[i] = True
+                self._execute_group(group, handle)
         finally:
             for done, handle in zip(executed, handles):
                 if not done:
@@ -853,67 +812,6 @@ class SweepEngine:
             self._journal_record(store)
             self._publish_store(store)
             self._notify_family(len(group), dnr=False)
-
-    def _make_pool(self, workers: int) -> ThreadPoolExecutor:
-        """Pool construction, separated so tests can starve it."""
-        return ThreadPoolExecutor(max_workers=workers)
-
-    def _execute_groups_pooled(
-        self,
-        groups: list[list[ExperimentConfig]],
-        handles: list,
-        executed: list[bool],
-    ) -> bool:
-        """Run groups on a thread pool; returns True when nothing is left.
-
-        Only *pool startup* failures (the executor or its worker threads
-        cannot be created -- thread-starved environments, interpreter
-        shutdown) fall back: ``False`` is returned with ``executed``
-        marking what the pool did take, and the caller runs the
-        remainder serially.  A failure raised *inside* a group is a
-        result, not a startup problem: it propagates (after sibling
-        groups finish and store their results) and nothing is re-run.
-        """
-        try:
-            pool = self._make_pool(min(self.jobs, len(groups)))
-        except (RuntimeError, OSError):
-            return False  # executor never existed; nothing was executed
-        futures = {}
-        all_submitted = True
-        for i, (group, handle) in enumerate(zip(groups, handles)):
-            try:
-                futures[i] = pool.submit(self._execute_group, group, handle)
-            except (RuntimeError, OSError):
-                # Worker-thread startup failed.  Already-submitted groups
-                # still run to completion below; the rest go serial.
-                all_submitted = False
-                break
-            executed[i] = True
-        try:
-            for i, future in futures.items():
-                try:
-                    future.result(timeout=self.group_timeout_s)
-                except FuturesTimeoutError:
-                    # Cancel whatever has not started; groups already
-                    # running cannot be preempted and are disowned.
-                    for j, other in futures.items():
-                        if other.cancel():
-                            executed[j] = False
-                    group = groups[i]
-                    raise GroupTimeoutError(
-                        f"group[{group[0].kernel}/{group[0].npb_class}] exceeded "
-                        f"the {self.group_timeout_s}s group timeout"
-                    ) from None
-        except GroupTimeoutError:
-            pool.shutdown(wait=False)
-            raise
-        except BaseException:
-            # A group failed: let its siblings finish (their results are
-            # stored and counted exactly once), then propagate.
-            pool.shutdown(wait=True)
-            raise
-        pool.shutdown(wait=True)
-        return all_submitted
 
     def _execute_group(self, group: list[ExperimentConfig], span_handle=None) -> None:
         """Run one thread-sweep family and store its results (or its DNR)."""
@@ -998,12 +896,6 @@ def default_engine() -> SweepEngine:
         if _default_engine is None:
             _default_engine = SweepEngine()
         return _default_engine
-
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Set worker-thread count on the shared engine (the ``--jobs`` flag)."""
-    engine = default_engine()
-    engine.jobs = SweepEngine._resolve_jobs(jobs)
 
 
 def set_default_retries(retries: int | None) -> None:

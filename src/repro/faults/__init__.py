@@ -28,7 +28,6 @@ from .journal import SweepJournal, decode_value, encode_value
 from .plan import FaultPlan, NullFaultPlan, disable, inject, install, is_enabled, plan
 from .taxonomy import (
     FaultError,
-    GroupTimeoutError,
     InjectedIOError,
     InjectedTransientError,
     TransientError,
@@ -40,7 +39,6 @@ __all__ = [
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
     "classify",
     "FaultPlan",
     "NullFaultPlan",

@@ -9,12 +9,15 @@ content lands in a same-directory temporary file first and is moved over
 the destination with :func:`os.replace`, which is atomic on POSIX.  A
 crash -- or an injected ``io`` fault from the installed
 :class:`~repro.faults.plan.FaultPlan` -- leaves the destination either
-untouched or fully written, never torn.
+untouched or fully written, never torn.  The temporary file is named
+per process and thread, so concurrent writers of one destination (two
+processes sharing a result store) never rename each other's file away.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 from .plan import inject
@@ -32,7 +35,7 @@ def write_text_atomic(path: str | Path, text: str, encoding: str = "utf-8") -> P
     failure.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text, encoding=encoding)
         inject("io.write", str(path), kinds=("io",))

@@ -29,7 +29,6 @@ __all__ = [
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
     "classify",
 ]
 
@@ -56,10 +55,6 @@ class InjectedIOError(FaultError, OSError):
     Subclasses :class:`OSError` so code that guards real filesystem
     errors exercises the identical handling path under injection.
     """
-
-
-class GroupTimeoutError(FaultError):
-    """A sweep group exceeded the engine's per-group timeout (fatal)."""
 
 
 def classify(exc: BaseException) -> str:

@@ -148,8 +148,8 @@ def _kernel_scaling_figure(
         y_label="Mop/s",
     )
     engine = engine if engine is not None else default_engine()
-    # One flat batch: each machine's sweep is a single vectorised model
-    # evaluation, and the sweeps run in parallel across machines.
+    # One flat batch: the planner evaluates every machine's sweep in a
+    # single vectorised model pass.
     results = iter(engine.run_many(_scaling_grid(kernel)))
     for machine in PAPER_HPC_MACHINES:
         label = get_machine(machine).label

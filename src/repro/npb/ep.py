@@ -132,8 +132,8 @@ def _verify(
         return False
     # Classes without a pinned value (all but S and A) adopt the first
     # computed one for the session; the pin (and the compare against it)
-    # happen under a lock so parallel sweep workers agree on a single
-    # golden pair.
+    # happen under a lock so concurrent callers agree on a single golden
+    # pair.
     with _golden_lock:
         gx, gy = _GOLDEN.setdefault(npb_class.value, (sx, sy))
     return (

@@ -15,7 +15,7 @@ Three layers, each usable on its own:
 
 :mod:`repro.service.campaign` fans a YAML scenario file out into jobs
 (``repro campaign run``), with journal-sidecar resume, store-backed
-artifact restore and a dependency-aware parallel scheduler (``needs``).
+artifact restore and ``needs`` edges that order its jobs.
 
 When the engine carries a :class:`repro.store.ResultStore`, the job
 manager also publishes every finished artifact under

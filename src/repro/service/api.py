@@ -14,13 +14,14 @@ Endpoints (all JSON unless noted)::
     POST /api/v1/jobs/<id>/cancel    cancel a queued job
 
 Error mapping: malformed requests (bad ``Content-Length`` included) are
-400 with a JSON ``error`` body, a body over 1 MiB or a job over the
-per-job sample budget is 413, an unknown job is 404, a full queue is
-429, and any unexpected handler failure is a 500 that names the
-exception instead of a closed socket.  Every response is written in one
-segment on a ``TCP_NODELAY`` socket, so keep-alive clients never wait on
-a delayed ACK, and every POST body is read (or the connection closed)
-even on routes that ignore it, so no leftover byte is parsed as the next
+400 with a JSON ``error`` body, a ``Transfer-Encoding`` body (chunked
+uploads) is 411, a body over 1 MiB or a job over the per-job sample
+budget is 413, an unknown job is 404, a full queue is 429, and any
+unexpected handler failure is a 500 that names the exception instead of
+a closed socket.  Every response is written in one segment on a
+``TCP_NODELAY`` socket, so keep-alive clients never wait on a delayed
+ACK, and every POST body is read (or the connection closed) even on
+routes that ignore it, so no leftover byte is parsed as the next
 request.
 The server itself holds no job state -- everything lives in the
 :class:`~repro.service.jobs.JobManager`, so a server restart in front
@@ -80,6 +81,10 @@ class _BodyTooLarge(Exception):
     """A POST body over :data:`MAX_BODY_BYTES` (HTTP 413, left unread)."""
 
 
+class _LengthRequired(Exception):
+    """A POST body framed by ``Transfer-Encoding`` (HTTP 411, left unread)."""
+
+
 class ServiceServer(ThreadingHTTPServer):
     """A ThreadingHTTPServer carrying its job manager."""
 
@@ -134,11 +139,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_raw_body(self) -> bytes:
         """The POST body's bytes, bounded before a byte of it is read.
 
-        A malformed ``Content-Length`` is a 400 and one over
-        :data:`MAX_BODY_BYTES` a 413; either way the body stays unread,
-        so the connection is closed after the reply instead of parsing
-        the leftover bytes as the next request.
+        A ``Transfer-Encoding`` header is a 411 (only ``Content-Length``
+        framing is read), a malformed ``Content-Length`` a 400 and one
+        over :data:`MAX_BODY_BYTES` a 413; in each case the body stays
+        unread, so the connection is closed after the reply instead of
+        parsing the leftover bytes as the next request.
         """
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None:
+            self.close_connection = True
+            raise _LengthRequired(
+                f"Transfer-Encoding {encoding!r} is not accepted; "
+                "send the body with a Content-Length"
+            )
         raw_length = self.headers.get("Content-Length") or "0"
         try:
             length = int(raw_length)
@@ -194,6 +207,9 @@ class _Handler(BaseHTTPRequestHandler):
         obs.incr("service.http_requests")
         try:
             self._route_post()
+        except _LengthRequired as exc:
+            obs.incr("service.bad_requests")
+            self._error(411, str(exc))
         except Exception as exc:
             obs.incr("service.http_errors")
             self._error(500, f"{type(exc).__name__}: {exc}")
@@ -249,7 +265,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "jobs": counts,
                 "jobs_total": sum(counts.values()),
                 "queue_size": self.manager.queue_size,
-                "engine": {"jobs": self.manager.engine.jobs},
                 "store": store.stats() if store is not None else None,
                 "bench": _bench_trajectory(),
             },

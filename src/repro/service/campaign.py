@@ -24,11 +24,10 @@ artifact to ``<out>/<name>.csv`` (atomic replace), and finishes with a
 ``MANIFEST.json`` mapping job names to artifacts, job IDs and cost
 estimates -- always in scenario order, however the jobs were scheduled.
 
-Jobs may declare ``needs`` (a name or list of names); independent jobs
-run concurrently when ``run_campaign`` is given ``jobs > 1``, bounded
-by that worker count, with span handles opened in scenario order so
-the obs tree stays deterministic.  A dependency cycle, a self edge or
-an unknown name is a :class:`ScenarioError` at load time.
+Jobs may declare ``needs`` (a name or list of names); jobs run one at a
+time in scenario order, each deferred past the jobs it needs.  A
+dependency cycle, a self edge or an unknown name is a
+:class:`ScenarioError` at load time.
 
 Crash-safe resume is the point, at two tiers.  Every sweep-backed job
 attaches a journal sidecar ``<out>/<name>.journal`` scoped to its own
@@ -50,8 +49,6 @@ site).
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -279,111 +276,36 @@ def _topo_order(scenario: Scenario) -> list[ScenarioJob]:
     return order
 
 
-def _run_parallel(
-    engine: SweepEngine,
-    out: Path,
-    scenario: Scenario,
-    handles: dict,
-    workers: int,
-) -> dict[str, dict]:
-    """Dependency-aware scheduler: ready jobs run concurrently.
-
-    Launch order is deterministic (scenario order within each ready
-    set); completion order is not, which is why span handles were
-    opened by the caller before any worker ran.  On the first failure
-    no new jobs launch; in-flight ones drain, unreachable handles are
-    abandoned, and the failure re-raises.
-    """
-    deps_left = {job.name: set(job.needs) for job in scenario.jobs}
-    dependents: dict[str, list[str]] = {job.name: [] for job in scenario.jobs}
-    for job in scenario.jobs:
-        for dep in job.needs:
-            dependents[dep].append(job.name)
-    results: dict[str, dict] = {}
-    failure: Exception | None = None
-    launched: set[str] = set()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        in_flight = {}
-
-        def launch_ready() -> None:
-            for job in scenario.jobs:
-                if job.name in launched or deps_left[job.name]:
-                    continue
-                launched.add(job.name)
-                fut = pool.submit(
-                    _run_campaign_job, engine, out, job, handles[job.name]
-                )
-                in_flight[fut] = job.name
-
-        launch_ready()
-        while in_flight:
-            finished, _ = futures_wait(in_flight, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                name = in_flight.pop(fut)
-                try:
-                    results[name] = fut.result()
-                except Exception as exc:  # repro: noqa[R007] -- collected and re-raised below once in-flight jobs drain
-                    if failure is None:
-                        failure = exc
-                    continue
-                for dep_name in dependents[name]:
-                    deps_left[dep_name].discard(name)
-            if failure is None:
-                launch_ready()
-    finally:
-        pool.shutdown(wait=True)
-        for job in scenario.jobs:
-            if job.name not in launched:
-                obs.abandon_span(handles[job.name])
-    if failure is not None:
-        raise failure
-    return results
-
-
 def run_campaign(
     scenario: Scenario,
     out_dir: str | Path,
     engine: SweepEngine | None = None,
-    jobs: int | None = None,
 ) -> dict:
     """Execute a scenario's jobs; returns the manifest dict.
 
-    ``jobs`` bounds how many scenario jobs run concurrently (default 1:
-    strictly sequential, in scenario order deferred past ``needs``
-    edges).  Parallelism below that still lives inside the engine --
-    its thread pool and planner -- and the store
-    plus per-job journals make every artifact identical whichever way
-    the schedule interleaved.  Artifacts and the manifest go through
-    atomic writes, so an interrupted campaign leaves only complete
-    files plus resumable journals; re-running it is both the resume
-    path and a cheap no-op when everything already landed.
+    Jobs run one at a time, in scenario order deferred past ``needs``
+    edges.  The store plus per-job journals make every artifact
+    identical however a run was interrupted.  Artifacts and the manifest go through atomic
+    writes, so an interrupted campaign leaves only complete files plus
+    resumable journals; re-running it is both the resume path and a
+    cheap no-op when everything already landed.
     """
     engine = engine if engine is not None else SweepEngine()
-    workers = 1 if jobs is None else int(jobs)
-    if workers < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with obs.span("campaign"):
-        # Span handles open in scenario order so the obs tree's shape is
-        # fixed before any scheduling decision is made.
+        # Span handles open in scenario order, so the obs tree's shape
+        # does not depend on how ``needs`` edges reorder execution.
         handles = {job.name: obs.open_span(f"campaign[{job.name}]") for job in scenario.jobs}
-        if workers == 1 or len(scenario.jobs) == 1:
-            results = {}
-            started: set[str] = set()
-            try:
-                for job in _topo_order(scenario):
-                    started.add(job.name)
-                    results[job.name] = _run_campaign_job(
-                        engine, out, job, handles[job.name]
-                    )
-            finally:
-                for job in scenario.jobs:
-                    if job.name not in started:
-                        obs.abandon_span(handles[job.name])
-        else:
-            results = _run_parallel(engine, out, scenario, handles, workers)
+        results = {}
+        try:
+            for job in _topo_order(scenario):
+                results[job.name] = _run_campaign_job(
+                    engine, out, job, handles.pop(job.name)
+                )
+        finally:
+            for handle in handles.values():
+                obs.abandon_span(handle)
     manifest_jobs = [results[job.name] for job in scenario.jobs]
     manifest = {"scenario": scenario.name, "jobs": manifest_jobs}
     write_text_atomic(

@@ -26,6 +26,27 @@ class TestParser:
         assert exc.value.code == 2
         assert "--procs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "4"],
+            ["figure", "2"],
+            ["export", "out"],
+            ["score"],
+            ["stats", "table6"],
+            ["serve"],
+            ["faults"],
+            ["campaign", "run", "scenario.yaml"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_jobs_flag_is_gone(self, argv, capsys):
+        # Sweeps run in the calling thread; there is no thread-pool flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_machines(self, capsys):
@@ -88,6 +109,15 @@ class TestExplorationCommands:
         assert main(["score"]) == 0
         out = capsys.readouterr().out
         assert "anchored" in out and "emergent" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["faults"], ["faults", "--fault-seed", "7"]], ids=["default", "seed7"]
+    )
+    def test_faults_converges_bit_identical(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "verdict: bit-identical" in out
+        assert "grid: 24 configs" in out
 
 
 class TestStatsCommand:

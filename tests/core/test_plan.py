@@ -75,8 +75,8 @@ def _run_recorded(engine: SweepEngine, grid):
 
 def _assert_differential(grid):
     """Planner engine vs per-family engine: everything bit-identical."""
-    planned = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True)
-    family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+    planned = SweepEngine(runner=ExperimentRunner(), planner=True)
+    family = SweepEngine(runner=ExperimentRunner(), planner=False)
     p_results, p_counters, p_spans = _run_recorded(planned, grid)
     f_results, f_counters, f_spans = _run_recorded(family, grid)
     assert p_results == f_results
@@ -107,8 +107,8 @@ class TestPlannerDifferential:
             ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B"),
             ExperimentConfig(machine="sg2044", kernel="ft", npb_class="B"),
         ]
-        planned = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True)
-        family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+        planned = SweepEngine(runner=ExperimentRunner(), planner=True)
+        family = SweepEngine(runner=ExperimentRunner(), planner=False)
         p, _, _ = _run_recorded(planned, grid)
         f, _, _ = _run_recorded(family, grid)
         assert p == f
@@ -132,9 +132,9 @@ class TestPlannerDifferential:
     def test_planner_matches_engine_error_on_invalid_threads(self):
         bad = ExperimentConfig(machine="sg2042", kernel="is", n_threads=128)
         with pytest.raises(ValueError) as planned_err:
-            SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True).run_many([bad])
+            SweepEngine(runner=ExperimentRunner(), planner=True).run_many([bad])
         with pytest.raises(ValueError) as family_err:
-            SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False).run_many([bad])
+            SweepEngine(runner=ExperimentRunner(), planner=False).run_many([bad])
         assert str(planned_err.value) == str(family_err.value)
 
 
@@ -159,7 +159,7 @@ class TestSubgridContainment:
         """8 threads riding one in-flight super-sweep: zero re-execution."""
         gate = threading.Event()
         runner = GatedRunner(gate)  # subclass: forces the per-family path
-        engine = SweepEngine(runner=runner, jobs=1, planner=True)
+        engine = SweepEngine(runner=runner, planner=True)
         grid = expand_grid(
             ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
         )

@@ -109,7 +109,7 @@ class TestSweepEngine:
         grid = expand_grid(
             PAPER_RISCV_BOARDS, paper.KERNELS, classes="B", thread_counts=1
         )
-        engine = SweepEngine(jobs=4)
+        engine = SweepEngine()
         batched = engine.run_many(grid, on_dnr="none")
 
         serial_runner = ExperimentRunner()
@@ -121,12 +121,12 @@ class TestSweepEngine:
                 serial.append(None)
         assert batched == serial
 
-    def test_parallel_equals_serial(self):
+    def test_planned_equals_per_family(self):
         grid = expand_grid(("sg2044", "sg2042"), KERNELS, thread_counts=THREADS)
-        parallel = SweepEngine(jobs=4).run_many(grid)
-        serial = SweepEngine(jobs=1).run_many(grid)
-        assert parallel == serial
-        assert [r.n_threads for r in parallel] == [c.n_threads for c in grid]
+        planned = SweepEngine(planner=True).run_many(grid)
+        per_family = SweepEngine(planner=False).run_many(grid)
+        assert planned == per_family
+        assert [r.n_threads for r in planned] == [c.n_threads for c in grid]
 
     def test_cache_hit_returns_same_object(self):
         engine = SweepEngine()
@@ -209,13 +209,28 @@ class TestSweepEngine:
         engine.clear_cache()
         assert engine.dnr_configs == 0
 
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepEngine(jobs=0)
+    @pytest.mark.parametrize(
+        "kwargs", [{"jobs": 2}, {"group_timeout_s": 1}], ids=["jobs", "group_timeout_s"]
+    )
+    def test_no_thread_pool_parameters(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            SweepEngine(**kwargs)
 
-    def test_jobs_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SweepEngine().jobs == 3
+    def test_repro_jobs_env_starts_no_thread(self, monkeypatch):
+        """A stale ``REPRO_JOBS`` neither starts a thread nor changes results."""
+        import threading
+
+        grid = expand_grid(("sg2044", "sg2042"), KERNELS, thread_counts=(1, 64))
+        expected = SweepEngine(planner=False).run_many(grid)
+
+        def no_thread(self):
+            raise AssertionError("sweep started a thread")
+
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        engine = SweepEngine(planner=False)
+        assert not hasattr(engine, "jobs")
+        assert engine.run_many(grid) == expected
 
     def test_no_procs_parameter(self):
         with pytest.raises(TypeError, match="procs"):
@@ -226,14 +241,14 @@ class TestSweepEngine:
         import os
 
         grid = expand_grid(("sg2044", "sg2042"), KERNELS, thread_counts=(1, 64))
-        expected = SweepEngine(jobs=1).run_many(grid)
+        expected = SweepEngine().run_many(grid)
 
         def no_fork():
             raise AssertionError("sweep forked a child process")
 
         monkeypatch.setenv("REPRO_PROCS", "4")
         monkeypatch.setattr(os, "fork", no_fork)
-        engine = SweepEngine(jobs=1)
+        engine = SweepEngine()
         assert not hasattr(engine, "procs")
         assert engine.run_many(grid) == expected
 

@@ -22,6 +22,31 @@ class TestAtomicWrite:
         write_text_atomic(tmp_path / "a.csv", "x")
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
+    def test_concurrent_writers_of_one_path_never_collide(self, tmp_path):
+        """Two store processes compacting one index write the same path."""
+        import threading
+
+        path = tmp_path / "index.log"
+        errors = []
+
+        def write(worker):
+            for i in range(200):
+                try:
+                    write_text_atomic(path, f"{worker} {i}\n" * 20)
+                except OSError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == ["index.log"]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 20 and len(set(lines)) == 1  # one whole write
+
     def test_injected_crash_preserves_old_content(self, tmp_path):
         """The headline property: a crash mid-write never truncates."""
         path = tmp_path / "table6.csv"

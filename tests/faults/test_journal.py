@@ -135,7 +135,7 @@ class TestResumedArtifactsByteIdentical:
         journal_path = tmp_path / "journal.json"
 
         clear_caches()
-        assert main(["export", str(out_a), "--jobs", "2"]) == 0
+        assert main(["export", str(out_a)]) == 0
 
         # "Interrupt": warm only part of the grid into the journal, cold
         # caches again, then resume the full export against the journal.
@@ -143,10 +143,7 @@ class TestResumedArtifactsByteIdentical:
         assert main(["table", "3", "--journal", str(journal_path)]) == 0
         assert len(SweepJournal(journal_path)) > 0
         clear_caches()
-        assert (
-            main(["export", str(out_b), "--jobs", "2", "--journal", str(journal_path)])
-            == 0
-        )
+        assert main(["export", str(out_b), "--journal", str(journal_path)]) == 0
         clear_caches()
 
         for artifact in sorted(out_a.iterdir()):

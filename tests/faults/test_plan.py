@@ -6,7 +6,6 @@ from repro import faults, obs
 from repro.core.perfmodel import DNRError
 from repro.faults import (
     FaultPlan,
-    GroupTimeoutError,
     InjectedIOError,
     InjectedTransientError,
     NullFaultPlan,
@@ -114,7 +113,6 @@ class TestTaxonomy:
         assert classify(TransientError("x")) == "transient"
         assert classify(InjectedTransientError("x")) == "transient"
         assert classify(DNRError("no fit")) == "dnr"
-        assert classify(GroupTimeoutError("late")) == "fatal"
         assert classify(RuntimeError("bug")) == "fatal"
         assert classify(InjectedIOError("disk")) == "fatal"
 

@@ -1,12 +1,13 @@
-"""Resilient sweep execution: the double-execution fix, retries, timeouts.
+"""Resilient sweep execution: the double-execution fix and retries.
 
-The headline regression: a group that raises used to trip the executor's
-"thread-starved pool" fallback, which serially re-executed *every*
-group -- double-counting ``sweep.groups_executed``/``configs_executed``
-and re-running work whose results were already stored.  These tests pin
-the fixed contract: only pool *startup* failures fall back, only
-not-yet-executed groups run serially, and an in-group failure propagates
-exactly once.
+The headline regression: a group that raised used to trip a fallback
+that re-executed *every* group -- double-counting
+``sweep.groups_executed``/``configs_executed`` and re-running work whose
+results were already stored.  These tests pin the contract on the
+per-family path (subclassed runners never take the planner): no family
+runs twice, an in-group failure propagates exactly once and stops the
+batch, families that finished before it stay cached, and the failed
+family can be claimed again.
 """
 
 import threading
@@ -16,7 +17,7 @@ import pytest
 from repro import faults, obs
 from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
-from repro.faults import FaultPlan, GroupTimeoutError, TransientError
+from repro.faults import FaultPlan, TransientError
 
 KERNELS = ("is", "ep", "mg", "cg")
 
@@ -51,33 +52,35 @@ class TestDoubleExecutionRegression:
 
     def test_group_failure_does_not_serially_reexecute(self):
         runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         rec = obs.install()
         with pytest.raises(RuntimeError, match="model blew up"):
             engine.run_many(_grid())
         obs.disable()
 
-        # Every family -- including the poisoned one -- was attempted
-        # exactly once.  The buggy fallback ran the survivors twice.
-        assert runner.family_calls == {k: 1 for k in KERNELS}
+        # Families run in grid order (is, ep, mg, cg): the two before the
+        # poisoned one ran once, the poisoned one was attempted once, and
+        # the batch stopped there.  The buggy fallback ran survivors twice.
+        assert runner.family_calls == {"is": 1, "ep": 1, "mg": 1}
         counters = rec.counters_snapshot()
-        assert counters["sweep.groups_executed"] == 3
-        assert counters["sweep.configs_executed"] == 6
+        assert counters["sweep.groups_executed"] == 2
+        assert counters["sweep.configs_executed"] == 4
         assert rec.quiescent()
 
     def test_survivor_results_are_cached_despite_the_failure(self):
         runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         grid = _grid()
         with pytest.raises(RuntimeError):
             engine.run_many(grid)
         survivors = [c for c in grid if c.kernel != "mg"]
-        engine.run_many(survivors)  # pure cache hits: no new executions
+        engine.run_many(survivors)  # is/ep are cache hits; cg runs once
         assert runner.family_calls == {k: 1 for k in KERNELS}
+        assert engine.hits == 4
 
     def test_failed_family_is_reclaimable_after_a_fix(self):
         runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         grid = _grid()
         with pytest.raises(RuntimeError):
             engine.run_many(grid)
@@ -89,7 +92,7 @@ class TestDoubleExecutionRegression:
 
     def test_serial_failure_abandons_unexecuted_group_spans(self):
         runner = PoisonRunner(poison_kernel="is")  # first family in order
-        engine = SweepEngine(runner, jobs=1)
+        engine = SweepEngine(runner)
         rec = obs.install()
         with pytest.raises(RuntimeError):
             engine.run_many(_grid())
@@ -104,64 +107,10 @@ class TestDoubleExecutionRegression:
         assert rec.quiescent()
 
 
-class TestPoolStartupFallback:
-    def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=4)
-
-        def starved(workers):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(engine, "_make_pool", starved)
-        rec = obs.install()
-        results = engine.run_many(_grid())
-        obs.disable()
-
-        assert all(r is not None for r in results)
-        assert runner.family_calls == {k: 1 for k in KERNELS}
-        counters = rec.counters_snapshot()
-        assert counters["sweep.groups_executed"] == 4
-        assert counters["sweep.configs_executed"] == 8
-        assert rec.quiescent()
-
-    def test_partial_submit_failure_runs_remainder_serially(self, monkeypatch):
-        class FlakyPool:
-            """Accepts two submissions, then the workers are exhausted."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.accepted = 0
-
-            def submit(self, fn, *args):
-                if self.accepted >= 2:
-                    raise RuntimeError("can't start new thread")
-                self.accepted += 1
-                return self.inner.submit(fn, *args)
-
-            def shutdown(self, wait=True):
-                self.inner.shutdown(wait=wait)
-
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=4)
-        make_pool = engine._make_pool
-        monkeypatch.setattr(
-            engine, "_make_pool", lambda workers: FlakyPool(make_pool(workers))
-        )
-        rec = obs.install()
-        results = engine.run_many(_grid())
-        obs.disable()
-
-        assert all(r is not None for r in results)
-        # Two families ran pooled, two serially -- each exactly once.
-        assert runner.family_calls == {k: 1 for k in KERNELS}
-        assert rec.counters_snapshot()["sweep.groups_executed"] == 4
-        assert rec.quiescent()
-
-
-class TestRetriesAndTimeouts:
+class TestRetries:
     def test_transient_failures_are_retried_with_backoff(self):
         runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=1, retries=2, backoff_s=0.01)
+        engine = SweepEngine(runner, retries=2, backoff_s=0.01)
         delays = []
         engine._sleep = delays.append
         faults.install(
@@ -181,7 +130,7 @@ class TestRetriesAndTimeouts:
 
     def test_transient_failures_beyond_budget_propagate(self):
         runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=1, retries=1, backoff_s=0.0)
+        engine = SweepEngine(runner, retries=1, backoff_s=0.0)
         faults.install(FaultPlan(seed=1, transient_rate=1.0, max_failures=2))
         with pytest.raises(TransientError):
             engine.run_many(_grid())
@@ -203,29 +152,10 @@ class TestRetriesAndTimeouts:
                 raise
 
         runner.run_many = heal_after_first
-        engine = SweepEngine(runner, jobs=1, retries=2, backoff_s=0.0)
+        engine = SweepEngine(runner, retries=2, backoff_s=0.0)
         results = engine.run_many(_grid())
         assert all(r is not None for r in results)
         assert runner.family_calls["ep"] == 2  # failed once, retried once
-
-    def test_slow_group_raises_group_timeout(self):
-        release = threading.Event()
-
-        class StallingRunner(ExperimentRunner):
-            def run_many(self, configs):
-                if configs[0].kernel == "is":
-                    release.wait(timeout=5.0)
-                return super().run_many(configs)
-
-        engine = SweepEngine(StallingRunner(), jobs=2, group_timeout_s=0.05)
-        try:
-            with pytest.raises(GroupTimeoutError, match="group timeout"):
-                engine.run_many(_grid())
-        finally:
-            release.set()
-        # The timed-out family was not stored: a later attempt re-claims it.
-        fresh = SweepEngine(ExperimentRunner(), jobs=1)
-        assert all(r is not None for r in fresh.run_many(_grid()))
 
 
 def _pruned(node):
@@ -259,7 +189,7 @@ class TestFaultConvergence:
         assert len(grid) == 24
 
         rec_clean = obs.install()
-        clean = SweepEngine(runner, jobs=4).run_many(grid)
+        clean = SweepEngine(runner).run_many(grid)
         obs.disable()
 
         faults.install(
@@ -272,7 +202,7 @@ class TestFaultConvergence:
             )
         )
         rec_faulted = obs.install()
-        engine = SweepEngine(runner, jobs=4, retries=2, backoff_s=0.0)
+        engine = SweepEngine(runner, retries=2, backoff_s=0.0)
         faulted = engine.run_many(grid)
         injected = faults.plan().stats()
         obs.disable()

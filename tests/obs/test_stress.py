@@ -75,7 +75,7 @@ def test_no_duplicate_executions_under_contention():
     n_unique = len(grid)
     for _ in range(5):
         runner = CountingRunner()
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         rec = obs.install()
         try:
             results = _hammer(engine, grid)
@@ -152,7 +152,7 @@ def test_injected_fatal_failures_never_hang_waiters():
     """
     grid = expand_grid(("sg2044",), ("is", "ep", "cg", "mg"), thread_counts=(1, 2, 4, 8))
     runner = FatalThenHealedRunner(poison_kernel="mg", failures=2)
-    engine = SweepEngine(runner, jobs=4)
+    engine = SweepEngine(runner)
     rec = obs.install()
     try:
         results, errors = _hammer_collecting(engine, grid)
@@ -179,7 +179,7 @@ def test_injected_transient_faults_all_callers_succeed():
     """With retries >= the fault cap, contention plus faults is invisible."""
     grid = expand_grid(("sg2044",), ("is", "ep", "cg", "mg"), thread_counts=(1, 2, 4, 8))
     runner = CountingRunner()
-    engine = SweepEngine(runner, jobs=4, retries=2, backoff_s=0.0)
+    engine = SweepEngine(runner, retries=2, backoff_s=0.0)
     faults.install(FaultPlan(seed=9, transient_rate=1.0, max_failures=2))
     rec = obs.install()
     try:
@@ -204,7 +204,7 @@ def test_injected_transient_faults_all_callers_succeed():
 def test_contended_dnr_family_resolves_once():
     grid = expand_grid(("allwinner-d1",), ("ft",), classes="B", thread_counts=1)
     runner = CountingRunner()
-    engine = SweepEngine(runner, jobs=4)
+    engine = SweepEngine(runner)
     results = _hammer(engine, grid, n_threads=4)
     # The DNR family executed once; every caller got the None slot.
     assert sum(runner.executions.values()) == 1

@@ -82,7 +82,7 @@ def _clean_slate():
 @pytest.fixture
 def service_engine() -> SweepEngine:
     """A private engine so execution counters are attributable."""
-    return SweepEngine(jobs=2, retries=0)
+    return SweepEngine(retries=0)
 
 
 def _start_server(manager: JobManager) -> tuple:

@@ -50,7 +50,12 @@ class TestEndpoints:
         assert body["status"] == "ok"
         assert body["jobs_total"] == sum(body["jobs"].values())
         assert body["queue_size"] == 16
-        assert body["engine"] == {"jobs": 2}
+
+    def test_health_has_no_engine_block(self, live_server):
+        # The engine has no worker-thread setting left to report.
+        status, body = http_get_json(live_server.url("/health"))
+        assert status == 200
+        assert "engine" not in body
 
     def test_submit_poll_artifact_round_trip(self, live_server):
         job_id, doc = _submit_and_finish(live_server)
@@ -210,6 +215,34 @@ class TestBoundedInputs:
         assert status == 413
         assert str(MAX_BODY_BYTES) in body["error"]
         assert connection == "close"
+        self._assert_no_job(live_server)
+
+    def test_chunked_body_is_411_and_closes(self, live_server):
+        # A valid job sent chunked: refused unread with one 411, and the
+        # connection closed, so the chunk-size line never becomes a request.
+        body = json.dumps(SWEEP).encode()
+        request = (
+            b"POST /api/v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode()
+            + body
+            + b"\r\n0\r\n\r\n"
+        )
+        address = ("127.0.0.1", live_server.server.server_port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):  # EOF: the server closed
+                received += chunk
+        head, _, payload = received.partition(b"\r\n\r\n")
+        headers = dict(
+            line.split(": ", 1) for line in head.decode().split("\r\n")[1:]
+        )
+        # Exactly one response: its body runs to EOF, nothing follows it.
+        assert len(payload) == int(headers["Content-Length"]), received
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert headers["Connection"] == "close"
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
         self._assert_no_job(live_server)
 
     def test_runs_count_against_the_sample_budget(self, live_server):

@@ -16,7 +16,7 @@ from repro.service import (
 
 @pytest.fixture(scope="module")
 def engine():
-    return SweepEngine(jobs=1)
+    return SweepEngine()
 
 
 SWEEP = {"kind": "sweep", "machines": ["sg2044"], "kernels": ["ep"], "threads": [1, 2]}
@@ -137,9 +137,9 @@ class TestIdentity:
         from repro.core.experiment import ExperimentRunner
 
         request = parse_request(SWEEP)
-        a = request_job_id(SweepEngine(jobs=1), request)
+        a = request_job_id(SweepEngine(), request)
         b = request_job_id(
-            SweepEngine(runner=ExperimentRunner(seed=123), jobs=1), request
+            SweepEngine(runner=ExperimentRunner(seed=123)), request
         )
         assert a != b
 
@@ -158,7 +158,7 @@ class TestExecution:
     def test_sweep_csv_shape_and_determinism(self, engine):
         request = parse_request(SWEEP)
         first = execute_request(engine, request)
-        second = execute_request(SweepEngine(jobs=1), request)
+        second = execute_request(SweepEngine(), request)
         assert first == second  # cold vs warm/fresh engines, same bytes
         lines = first.strip().splitlines()
         assert lines[0].startswith("machine,kernel,class,")
@@ -196,7 +196,7 @@ class TestExecution:
         from repro.harness.tables import table_grid
 
         clear_caches()  # a warm default engine would mask a fallback
-        private = SweepEngine(jobs=1)
+        private = SweepEngine()
         recorder = obs.install()
         try:
             execute_request(private, parse_request({"kind": "table", "number": 4}))
@@ -231,7 +231,7 @@ class TestExecution:
             "from repro.core.sweep import SweepEngine\n"
             "from repro.service import execute_request, parse_request\n"
             "request = parse_request({'kind': 'whatif', 'kernel': 'cg', 'threads': 32})\n"
-            "assert execute_request(SweepEngine(jobs=1), request).startswith('section,')\n"
+            "assert execute_request(SweepEngine(), request).startswith('section,')\n"
             "assert 'scipy' not in sys.modules, sorted(\n"
             "    m for m in sys.modules if m.startswith(('scipy', 'repro.npb'))\n"
             ")\n"

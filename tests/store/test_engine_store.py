@@ -28,11 +28,11 @@ GRID = expand_grid(("sg2042", "sg2044"), ("ep", "is"), thread_counts=(1, 2))
 
 def test_warm_restart_executes_nothing(tmp_path):
     store = ResultStore(tmp_path / "store")
-    cold = SweepEngine(jobs=2, store=store).run_many(GRID, on_dnr="none")
+    cold = SweepEngine(store=store).run_many(GRID, on_dnr="none")
 
     recorder = obs.install()
     try:
-        warm = SweepEngine(jobs=2, store=store).run_many(GRID, on_dnr="none")
+        warm = SweepEngine(store=store).run_many(GRID, on_dnr="none")
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()
@@ -46,7 +46,7 @@ def test_warm_restart_executes_nothing(tmp_path):
 def _contend(store_root, queue):
     """Child process: 4 threads sweep the same grid against one store."""
     recorder = obs.install()
-    engine = SweepEngine(jobs=1, store=ResultStore(store_root))
+    engine = SweepEngine(store=ResultStore(store_root))
     results = [None] * 4
 
     def sweep(i):
@@ -81,7 +81,7 @@ def test_two_processes_execute_each_config_once(tmp_path):
     # And the store now warm-serves a ninth sweep with zero executions.
     recorder = obs.install()
     try:
-        warm = SweepEngine(jobs=2, store=ResultStore(tmp_path / "store")).run_many(
+        warm = SweepEngine(store=ResultStore(tmp_path / "store")).run_many(
             GRID, on_dnr="none"
         )
     finally:
@@ -94,12 +94,12 @@ def test_takeover_after_lease_timeout(tmp_path):
     """A lease whose holder died mid-run is broken and re-claimed."""
     store = ResultStore(tmp_path / "store", lease_timeout_s=0.05, poll_interval_s=0.01)
     # Simulate a crashed claimant: lease held, result never published.
-    dead_key = SweepEngine(jobs=1).cache_key(GRID[0])
+    dead_key = SweepEngine().cache_key(GRID[0])
     assert store.try_lease(dead_key)
 
     recorder = obs.install()
     try:
-        engine = SweepEngine(jobs=1, store=store)
+        engine = SweepEngine(store=store)
         results = engine.run_many(GRID, on_dnr="none")
     finally:
         obs.disable()
@@ -113,7 +113,7 @@ def test_takeover_after_lease_timeout(tmp_path):
 def test_orphan_lease_taken_over_without_timeout(tmp_path):
     """If the foreign lease vanishes with no entry, take over immediately."""
     store = ResultStore(tmp_path / "store", lease_timeout_s=10.0, poll_interval_s=0.01)
-    engine = SweepEngine(jobs=1, store=store)
+    engine = SweepEngine(store=store)
     orphan_key = engine.cache_key(GRID[0])
     assert store.try_lease(orphan_key)
 
@@ -131,4 +131,36 @@ def test_orphan_lease_taken_over_without_timeout(tmp_path):
     assert len(results) == len(GRID)
     assert counters["store.lease_takeovers"] >= 1
     assert counters.get("store.lease_timeouts", 0) == 0  # no 10 s wait burned
+    assert store.stats()["leases"] == 0
+
+
+def test_takeover_absorbs_entry_published_before_release(tmp_path, monkeypatch):
+    """An owner that publishes, then releases, between two polls is not re-run.
+
+    The waiter polls the store (miss), then finds the lease gone; the
+    entry published in between must be absorbed, not recomputed.
+    """
+    store = ResultStore(tmp_path / "store", lease_timeout_s=10.0, poll_interval_s=0.01)
+    engine = SweepEngine(store=store)
+    owned = engine.cache_key(GRID[0])
+    owner_result = SweepEngine().run(GRID[0])
+    assert store.try_lease(owned)  # another process is executing GRID[0]
+    lease_active = store.lease_active
+
+    def owner_finishes_first(key):
+        if key == owned and lease_active(key):
+            store.put_many({owned: owner_result})
+            store.release_lease(owned)
+        return lease_active(key)
+
+    monkeypatch.setattr(store, "lease_active", owner_finishes_first)
+    recorder = obs.install()
+    try:
+        results = engine.run_many(GRID, on_dnr="none")
+    finally:
+        obs.disable()
+    counters = recorder.counters_snapshot()
+
+    assert results[0] == owner_result
+    assert counters["sweep.configs_executed"] == len(GRID) - 1
     assert store.stats()["leases"] == 0
